@@ -263,6 +263,7 @@ struct ProfileBaseline {
     merge_secs: f64,
     heap_pops: u64,
     kernel_secs: f64,
+    kernel_pairs: u64,
 }
 
 /// `delta_secs / delta_work` in nanoseconds per unit; zero when the
@@ -739,6 +740,9 @@ impl Aggregator {
                     telemetry::DURATION_BUCKETS,
                 )
                 .sum();
+            let kernel_pairs = reg
+                .counter("roleclass_kernel_base_pairs_emitted_total")
+                .get();
             let base = self.profile_base;
             let (bytes_now, allocs_now) = telemetry::alloc_counters();
             let profile = [
@@ -765,7 +769,7 @@ impl Aggregator {
                     "roleclass_profile_kernel_ns_per_pair",
                     unit_ns(
                         kernel_secs - base.kernel_secs,
-                        reg.gauge("roleclass_kernel_base_pairs").get().max(0) as u64,
+                        kernel_pairs - base.kernel_pairs,
                     ),
                 ),
                 (
@@ -784,6 +788,7 @@ impl Aggregator {
                 merge_secs,
                 heap_pops,
                 kernel_secs,
+                kernel_pairs,
             };
         }
         self.timeseries.record(stab.window, frame_values);

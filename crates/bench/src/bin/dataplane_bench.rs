@@ -111,8 +111,9 @@ fn work_counters(rec: &Recorder) -> BTreeMap<&'static str, u64> {
             reg.counter("roleclass_engine_merge_heap_pops_total").get(),
         ),
         (
-            "kernel_base_pairs",
-            reg.gauge("roleclass_kernel_base_pairs").get().max(0) as u64,
+            "kernel_pairs_emitted",
+            reg.counter("roleclass_kernel_base_pairs_emitted_total")
+                .get(),
         ),
     ])
 }
@@ -174,11 +175,7 @@ fn measure(n: usize, reps: usize, cfg: &EngineConfig) -> Measurement {
             stages = window_stages(&rec);
             counters = work_counters(&rec);
             for (name, v) in &mut counters {
-                // `kernel_base_pairs` is a gauge (latest build), not a
-                // cumulative counter: no warm-up share to remove.
-                if *name != "kernel_base_pairs" {
-                    *v -= warm_counters[name];
-                }
+                *v -= warm_counters[name];
             }
         }
         eprintln!("[{n}] window in {secs:.1}s");

@@ -24,9 +24,6 @@
 //! and passed to [`Engine::from_config`](engine::Engine::from_config);
 //! nothing in this crate reads environment variables.
 //!
-//! The panicking wrappers (`classify`, `form_groups`, `merge_groups`,
-//! `correlate`) are deprecated in favor of the `try_*` family.
-//!
 //! Supporting modules: [`params`] (all tunables, with the paper's
 //! defaults), [`group`] (partition types), [`diff`] (partition change
 //! reports, the paper's property 4), [`services`] (the
@@ -70,25 +67,17 @@ pub mod services;
 pub mod stability;
 
 pub use autotune::{auto_k_hi_kcore, auto_k_hi_otsu, auto_params};
-#[allow(deprecated)]
-pub use classify::classify;
 pub use classify::{try_classify, Classification, GroupNeighborhood};
 pub use config::{EngineConfig, PruneMode};
-#[allow(deprecated)]
-pub use correlate::correlate;
 pub use correlate::{apply_correlation, try_correlate, Correlation};
 pub use diff::{diff_groupings, GroupingDiff};
 pub use engine::{
     Engine, EngineSnapshot, Formed, Merged, WindowOutcome, ENGINE_EVENT_NAMES, ENGINE_METRIC_NAMES,
 };
-#[allow(deprecated)]
-pub use formation::form_groups;
 pub use formation::{
     form_groups_reference, try_form_groups, FormationEvent, FormationKind, FormationResult,
 };
 pub use group::{Group, GroupId, Grouping};
-#[allow(deprecated)]
-pub use merging::merge_groups;
 pub use merging::{try_merge_groups, MergeEvent, MergeOutcome};
 pub use model::{avg_similarity, avg_similarity_violations, s_min_violations, similarity};
 pub use params::{ParamError, Params, SimilarityVariant, TieBreak};
@@ -104,24 +93,15 @@ pub use stability::{
 /// ```
 ///
 /// brings in the [`Engine`], its stage types and [`EngineConfig`], the
-/// fallible (`try_*`) classification functions — plus their deprecated
-/// panicking forms, for the transition — and the parameter/result types
-/// they exchange.
+/// fallible (`try_*`) classification functions, and the
+/// parameter/result types they exchange.
 pub mod prelude {
-    #[allow(deprecated)]
-    pub use crate::classify::classify;
     pub use crate::classify::{try_classify, Classification, GroupNeighborhood};
     pub use crate::config::{EngineConfig, PruneMode};
-    #[allow(deprecated)]
-    pub use crate::correlate::correlate;
     pub use crate::correlate::{apply_correlation, try_correlate, Correlation};
     pub use crate::engine::{Engine, EngineSnapshot, Formed, Merged, WindowOutcome};
-    #[allow(deprecated)]
-    pub use crate::formation::form_groups;
     pub use crate::formation::{try_form_groups, FormationResult};
     pub use crate::group::{Group, GroupId, Grouping};
-    #[allow(deprecated)]
-    pub use crate::merging::merge_groups;
     pub use crate::merging::{try_merge_groups, MergeOutcome};
     pub use crate::params::{ParamError, Params, SimilarityVariant, TieBreak};
     pub use crate::stability::{GroupStability, HostChurn, StabilityTracker, WindowStability};

@@ -54,6 +54,7 @@ use telemetry::{Recorder, Registry};
 /// this list.
 pub const KERNEL_METRIC_NAMES: &[&str] = &[
     "roleclass_kernel_base_pairs",
+    "roleclass_kernel_base_pairs_emitted_total",
     "roleclass_kernel_build_seconds",
     "roleclass_kernel_builds_total",
     "roleclass_kernel_compactions_total",
@@ -79,6 +80,9 @@ pub struct KernelMetrics {
     build_seconds: telemetry::Histogram,
     /// Entries in the base pair table after the latest build/compaction.
     base_pairs: telemetry::Gauge,
+    /// Pairs emitted by builds, cumulative. Compaction never touches it,
+    /// so per-build unit costs divide by its delta, not by the gauge.
+    base_pairs_emitted: telemetry::Counter,
     /// Worker threads used by the latest build.
     workers: telemetry::Gauge,
     /// Aggregated entries emitted per worker run — the balance of the
@@ -112,6 +116,7 @@ impl KernelMetrics {
                 telemetry::DURATION_BUCKETS,
             ),
             base_pairs: reg.gauge("roleclass_kernel_base_pairs"),
+            base_pairs_emitted: reg.counter("roleclass_kernel_base_pairs_emitted_total"),
             workers: reg.gauge("roleclass_kernel_workers"),
             worker_entries: reg
                 .histogram("roleclass_kernel_worker_entries", telemetry::SIZE_BUCKETS),
@@ -852,6 +857,7 @@ impl CommonNeighborKernel {
         if let (Some(m), Some(t0)) = (&metrics, started) {
             m.builds_total.inc();
             m.base_pairs.set(base.len() as i64);
+            m.base_pairs_emitted.add(base.len() as u64);
             m.build_seconds.observe(t0.elapsed().as_secs_f64());
         }
         let eligible_watermark = eligible.len();
@@ -1355,12 +1361,11 @@ mod tests {
         assert_eq!(kernel.edges(), fresh);
     }
 
-    #[test]
-    fn compaction_preserves_view() {
-        // Hub-heavy graph large enough to cross both compaction
-        // triggers: the pair table exceeds the 2048-entry floor, and
-        // batched contractions first bloat the overlay, then halve the
-        // eligible population.
+    /// Hub-heavy graph large enough to cross both compaction triggers:
+    /// the pair table exceeds the 2048-entry floor, and batched
+    /// contractions (see [`contract_batch`]) first bloat the overlay,
+    /// then halve the eligible population.
+    fn hub_heavy() -> WGraph {
         let mut g = WGraph::new();
         for _ in 0..80 {
             g.add_node();
@@ -1370,12 +1375,23 @@ mod tests {
                 g.add_edge(n(h), n(v), 1 + ((h + v) % 3) as u64);
             }
         }
+        g
+    }
+
+    /// Contraction batch `batch` (0..12) of the [`hub_heavy`] graph.
+    fn contract_batch(kernel: &mut CommonNeighborKernel, g: &mut WGraph, batch: u32) {
+        let members: Vec<NodeId> = (0..5).map(|i| n(4 + batch * 5 + i)).collect();
+        kernel.contract(g, &members);
+    }
+
+    #[test]
+    fn compaction_preserves_view() {
+        let mut g = hub_heavy();
         let mut kernel = CommonNeighborKernel::build_with_workers(&g, |_| true, 2);
         assert!(kernel.edges().len() > 2048);
 
         for batch in 0..12u32 {
-            let members: Vec<NodeId> = (0..5).map(|i| n(4 + batch * 5 + i)).collect();
-            kernel.contract(&mut g, &members);
+            contract_batch(&mut kernel, &mut g, batch);
             let fresh = common_neighbor_min_weights(&g, |x| kernel.is_eligible(x));
             assert_eq!(kernel.edges(), fresh, "after batch {batch}");
             for k in 1..=kernel.max_count() + 1 {
@@ -1384,6 +1400,28 @@ mod tests {
                 assert_eq!(kernel.edges_at_least(k), expect, "batch {batch} level {k}");
             }
         }
+    }
+
+    #[test]
+    fn compaction_leaves_emitted_pairs_alone() {
+        // Compaction rewrites the `base_pairs` gauge; the cumulative count
+        // of pairs the build emitted must not move.
+        let mut g = hub_heavy();
+        let rec = Recorder::new();
+        let mut kernel = CommonNeighborKernel::build_with_telemetry(&g, |_| true, 2, Some(&rec));
+        let reg = rec.registry();
+        let emitted = || {
+            reg.counter("roleclass_kernel_base_pairs_emitted_total")
+                .get()
+        };
+        let built = emitted();
+        assert_eq!(built, kernel.edges().len() as u64);
+        for batch in 0..12u32 {
+            contract_batch(&mut kernel, &mut g, batch);
+        }
+        assert!(reg.counter("roleclass_kernel_compactions_total").get() > 0);
+        assert_ne!(reg.gauge("roleclass_kernel_base_pairs").get() as u64, built);
+        assert_eq!(emitted(), built);
     }
 
     /// Hub 0 → spokes 1..=6 with weight(0,i) = i, so pair (i, j) has

@@ -64,7 +64,7 @@ UNIT_COSTS = [
     ("ns_per_candidate", "engine.correlate", "correlate_candidates"),
     ("ns_per_eval", "engine.correlate", "correlate_similarity_evals"),
     ("ns_per_pop", "merge.agglomerate", "merge_heap_pops"),
-    ("ns_per_pair", "kernel.count", "kernel_base_pairs"),
+    ("ns_per_pair", "kernel.count", "kernel_pairs_emitted"),
 ]
 MIN_UNITS = 1000
 

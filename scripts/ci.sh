@@ -27,13 +27,6 @@ fi
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-# Deprecation-clean gate: the panicking entry points (classify,
-# form_groups, merge_groups, correlate) are deprecated in favor of the
-# try_* forms; workspace code must not call them except where a test
-# deliberately pins the legacy surface under #[allow(deprecated)].
-echo "==> cargo clippy -- -D deprecated (no in-repo callers of deprecated APIs)"
-cargo clippy --workspace --all-targets -- -D deprecated
-
 echo "==> cargo test -q"
 cargo test --workspace -q
 
@@ -89,6 +82,13 @@ cargo test -q -p aggregator --test wire_chaos --test frame_codec_properties
 echo "==> kernel + engine equivalence across the worker/prune matrix"
 cargo test -q -p netgraph --test kernel_properties
 cargo test -q -p roleclass --test engine_equivalence
+
+# The dense correlator must equal its address-keyed reference bit for
+# bit (fields, score bits, id-decision order, work counters) on every
+# churned synth scenario, including the BigCompany case that is too
+# slow for the debug suite above.
+echo "==> correlation differential suite (release, incl. BigCompany)"
+cargo test -q --release -p roleclass --test correlate_reference -- --include-ignored
 
 # Advisory bench regression gate: fresh per-stage timings vs the
 # committed BENCH_*.json artifacts, >25% slower gets flagged. Timing on

@@ -90,3 +90,38 @@ fn metric_name_lists_are_sorted() {
         assert_eq!(names, sorted.as_slice());
     }
 }
+
+#[test]
+fn unit_cost_denominators_are_declared_cumulative_counters() {
+    // Each `roleclass_profile_*_ns_per_*` series divides a stage's time
+    // by the per-cycle delta of a work counter. A gauge there (one that a
+    // later phase overwrites, as kernel compaction does to
+    // `roleclass_kernel_base_pairs`) would make the ratio meaningless, so
+    // every denominator must be a declared `_total` counter.
+    let declared: BTreeSet<&str> = layers()
+        .into_iter()
+        .flat_map(|(_, names)| names.iter().copied())
+        .collect();
+    for (series, denominator) in [
+        (
+            "roleclass_profile_correlate_ns_per_candidate",
+            "roleclass_engine_correlate_candidates_total",
+        ),
+        (
+            "roleclass_profile_correlate_ns_per_eval",
+            "roleclass_engine_correlate_similarity_evals_total",
+        ),
+        (
+            "roleclass_profile_merge_ns_per_pop",
+            "roleclass_engine_merge_heap_pops_total",
+        ),
+        (
+            "roleclass_profile_kernel_ns_per_pair",
+            "roleclass_kernel_base_pairs_emitted_total",
+        ),
+    ] {
+        assert!(PROFILE_METRIC_NAMES.contains(&series), "{series}");
+        assert!(declared.contains(denominator), "{denominator} undeclared");
+        assert!(denominator.ends_with("_total"), "{denominator}");
+    }
+}

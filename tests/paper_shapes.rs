@@ -2,26 +2,14 @@
 //! EXPERIMENTS.md for the measured-vs-paper numbers).
 
 use role_classification::cluster::metrics;
-use role_classification::flow::ConnectionSets;
-use role_classification::roleclass::{
-    try_classify, try_form_groups, Classification, FormationKind, FormationResult, Params,
-};
+use role_classification::roleclass::{try_classify, try_form_groups, FormationKind, Params};
 
-// Local shims over the fallible entry points (the panicking wrappers
-// are deprecated).
-fn classify(cs: &ConnectionSets, p: &Params) -> Classification {
-    try_classify(cs, p).unwrap()
-}
-
-fn form_groups(cs: &ConnectionSets, p: &Params) -> FormationResult {
-    try_form_groups(cs, p).unwrap()
-}
 use role_classification::synthnet::scenarios;
 
 #[test]
 fn figure2_formation_walkthrough() {
     let net = scenarios::figure1(3, 3);
-    let r = form_groups(&net.connsets, &Params::default());
+    let r = try_form_groups(&net.connsets, &Params::default()).unwrap();
     assert_eq!(r.groups.len(), 5);
     // {Mail, Web} at k = 6.
     let mw = r
@@ -52,7 +40,7 @@ fn figure2_formation_walkthrough() {
 #[test]
 fn mazu_grouping_reflects_logical_structure() {
     let net = scenarios::mazu(42);
-    let c = classify(&net.connsets, &Params::default());
+    let c = try_classify(&net.connsets, &Params::default()).unwrap();
 
     // One-to-two orders of magnitude reduction (paper: 110 -> 25).
     let groups = c.grouping.group_count();
@@ -108,7 +96,7 @@ fn slo_sweep_is_monotone_and_khi_stabilizes() {
     let mut last = 0usize;
     for s_lo in [0.0, 25.0, 55.0, 75.0, 95.0] {
         let p = Params::default().with_s_lo(s_lo).with_s_hi(99.0);
-        let c = classify(&net.connsets, &p);
+        let c = try_classify(&net.connsets, &p).unwrap();
         assert!(
             c.grouping.group_count() >= last,
             "figure 6 monotonicity violated at S^lo = {s_lo}"
@@ -119,7 +107,8 @@ fn slo_sweep_is_monotone_and_khi_stabilizes() {
     // Figure 7 shape: group count stabilizes for K^hi above a small
     // threshold (the paper: unchanged for K^hi >= 4 on Mazu).
     let count_at = |k_hi: u32| {
-        classify(&net.connsets, &Params::default().with_k_hi(k_hi))
+        try_classify(&net.connsets, &Params::default().with_k_hi(k_hi))
+            .unwrap()
             .grouping
             .group_count()
     };
@@ -140,7 +129,7 @@ fn grouping_beats_naive_baselines_on_mazu() {
     use role_classification::cluster::{similarity_components, SimilarityComponentsConfig};
     let net = scenarios::mazu(42);
     let truth = net.truth.partition();
-    let c = classify(&net.connsets, &Params::default());
+    let c = try_classify(&net.connsets, &Params::default()).unwrap();
     let ours = metrics::adjusted_rand_index(&truth, &c.grouping.as_partition());
 
     for min_common in [1, 2] {
