@@ -489,6 +489,7 @@ mod tests {
         let clean = Recovery {
             runs: vec![],
             table: flow::HostTable::new(),
+            stability: None,
             source: RecoverySource::Primary,
             notes: vec![],
         };
@@ -497,6 +498,7 @@ mod tests {
         let backup = Recovery {
             runs: vec![],
             table: flow::HostTable::new(),
+            stability: None,
             source: RecoverySource::Backup,
             notes: vec!["primary checkpoint unusable: corrupt".to_string()],
         };
@@ -513,6 +515,7 @@ mod tests {
         let fresh = Recovery {
             runs: vec![],
             table: flow::HostTable::new(),
+            stability: None,
             source: RecoverySource::Fresh,
             notes: vec![],
         };

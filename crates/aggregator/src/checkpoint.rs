@@ -1,13 +1,14 @@
-//! Crash-safe persistence for the run history.
+//! Crash-safe persistence for what a restarted aggregator needs.
 //!
-//! The run history is the anchor for group-id correlation: lose it and
-//! every group gets renumbered on restart, which invalidates labels,
-//! policies, and operator intuition. This module persists it as a
-//! *checkpoint file* with:
+//! Correlation anchors group ids on the previous run: lose it and every
+//! group gets renumbered on restart, which invalidates labels, policies,
+//! and operator intuition. This module persists it as a *checkpoint
+//! file* with:
 //!
-//! * a **versioned header** (`roleclass-checkpoint v2`) so format drift
-//!   is detected instead of misparsed — v1 files (runs only, no identity
-//!   table) are still read, with the table rebuilt deterministically;
+//! * a **versioned header** (`roleclass-checkpoint v3`) so format drift
+//!   is detected instead of misparsed. v3 holds the identity table, the
+//!   last run and the stability resume state, so it does not grow with
+//!   uptime; v2 (table plus every run) and v1 (runs only) still load;
 //! * **atomic writes**: the new checkpoint is written to a temp file and
 //!   renamed over the old one, so a crash mid-write can never leave a
 //!   half-written primary;
@@ -19,7 +20,9 @@
 
 use crate::pipeline::RunRecord;
 use flow::HostTable;
+use roleclass::{GroupId, TrackerState};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -28,20 +31,37 @@ use storage::{AppendLogBackend, NamespaceProfile, StorageBackend, StorageError};
 
 /// First header token; anything else is not a checkpoint file.
 const MAGIC: &str = "roleclass-checkpoint";
-/// Current format version: v2 adds the master [`HostTable`] so dense
-/// host ids survive restarts.
-const VERSION: u32 = 2;
+/// Current format version: v3 adds the stability resume state, so the
+/// aggregator writes only its last run instead of its whole history.
+const VERSION: u32 = 3;
 /// Oldest version this build still reads. v1 payloads are a bare run
 /// array; the identity table is rebuilt by re-interning run hosts in
 /// order, which reproduces the ids live ingestion assigned.
 const MIN_VERSION: u32 = 1;
 
-/// The v2 on-disk payload: the run history plus the master identity
-/// table that assigned each host its dense id.
+/// The v2 and v3 on-disk payload: the master identity table that
+/// assigned each host its dense id, the runs to anchor on, and (v3,
+/// from [`Aggregator::checkpoint`](crate::Aggregator::checkpoint)) the
+/// stability state that spares restore a replay of the runs.
 #[derive(Serialize, Deserialize)]
-struct CheckpointDoc {
-    table: HostTable,
-    runs: Vec<RunRecord>,
+pub(crate) struct CheckpointDoc {
+    pub(crate) table: HostTable,
+    pub(crate) runs: Vec<RunRecord>,
+    #[serde(default)]
+    pub(crate) stability: Option<StabilityResume>,
+}
+
+/// What a restarted aggregator needs, next to its last run's grouping,
+/// to continue stability scoring and churn alerting exactly where it
+/// stopped.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct StabilityResume {
+    /// The stability tracker's state; its previous grouping is the last
+    /// run's.
+    pub tracker: TrackerState,
+    /// Groups whose RoleChurn collapse episode is still open, so the
+    /// episode does not alert a second time after the restart.
+    pub churn_latch: BTreeSet<GroupId>,
 }
 
 /// Why a checkpoint operation failed.
@@ -86,14 +106,14 @@ impl From<StorageError> for CheckpointError {
     }
 }
 
-/// Where a recovered history came from.
+/// Where a recovered checkpoint came from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RecoverySource {
     /// The primary checkpoint was intact.
     Primary,
     /// The primary was missing or corrupt; the backup was used.
     Backup,
-    /// Neither file was usable; starting with an empty history.
+    /// Neither file was usable; starting fresh.
     Fresh,
 }
 
@@ -111,11 +131,15 @@ impl RecoverySource {
 /// Result of [`Checkpointer::load_or_recover`].
 #[derive(Debug)]
 pub struct Recovery {
-    /// The recovered run history (empty for [`RecoverySource::Fresh`]).
+    /// The recovered runs: the last one for a v3 checkpoint written by
+    /// the aggregator, every saved one otherwise (empty for
+    /// [`RecoverySource::Fresh`]).
     pub runs: Vec<RunRecord>,
     /// The recovered master identity table (empty for
     /// [`RecoverySource::Fresh`]; rebuilt from the runs for v1 files).
     pub table: HostTable,
+    /// The stability resume state, when the checkpoint carries one.
+    pub stability: Option<StabilityResume>,
     /// Which generation supplied it.
     pub source: RecoverySource,
     /// Human-readable notes about anything that went wrong on the way
@@ -123,7 +147,7 @@ pub struct Recovery {
     pub notes: Vec<String>,
 }
 
-/// Writes and reads checkpoint generations for a run history.
+/// Writes and reads checkpoint generations.
 ///
 /// Persistence goes through a [`StorageBackend`] snapshot namespace:
 /// each save appends one generation (encoded header + payload), the
@@ -221,38 +245,32 @@ impl Checkpointer {
         PathBuf::from(os)
     }
 
-    /// Atomically persists `runs` as a new checkpoint generation. The
-    /// backend's snapshot contract does the heavy lifting: the payload
-    /// is staged, fsynced, and renamed into place (parent directory
-    /// fsynced too), the previous generation is demoted rather than
-    /// destroyed, and a crash at any point leaves at least one intact
-    /// generation on disk.
+    /// Atomically persists `runs` and the master identity `table` as a
+    /// new checkpoint generation. The backend's snapshot contract does
+    /// the heavy lifting: the payload is staged, fsynced, and renamed
+    /// into place (parent directory fsynced too), the previous
+    /// generation is demoted rather than destroyed, and a crash at any
+    /// point leaves at least one intact generation on disk.
     ///
-    /// The identity table is derived from the runs (each run's hosts
-    /// interned in order); use [`Checkpointer::save_with_table`] to
-    /// persist an aggregator's live master table, which may hold hosts
-    /// no retained run mentions.
-    pub fn save(&self, runs: &[RunRecord]) -> Result<(), CheckpointError> {
-        let mut table = HostTable::new();
-        for run in runs {
-            for h in run.connsets.hosts() {
-                table.intern(h);
-            }
-        }
-        self.save_with_table(runs, &table)
-    }
-
-    /// [`Checkpointer::save`] with an explicit master identity table.
+    /// The checkpoint carries no stability state, so a restore replays
+    /// `runs` to rebuild it; [`Aggregator::checkpoint`](crate::Aggregator::checkpoint)
+    /// writes the bounded form instead.
     pub fn save_with_table(
         &self,
         runs: &[RunRecord],
         table: &HostTable,
     ) -> Result<(), CheckpointError> {
-        let doc = CheckpointDoc {
+        self.save_doc(&CheckpointDoc {
             table: table.clone(),
             runs: runs.to_vec(),
-        };
-        let payload = serde_json::to_string(&doc)
+            stability: None,
+        })
+    }
+
+    /// Encodes `doc` under the current header and appends it as the
+    /// newest generation.
+    pub(crate) fn save_doc(&self, doc: &CheckpointDoc) -> Result<(), CheckpointError> {
+        let payload = serde_json::to_string(doc)
             .map_err(|e| CheckpointError::Corrupt(format!("encode failed: {e}")))?;
         let bytes = format!("{MAGIC} v{VERSION}\n{payload}").into_bytes();
         let b = self.open_ns()?;
@@ -260,35 +278,15 @@ impl Checkpointer {
         Ok(())
     }
 
-    /// Strictly loads the newest (primary) checkpoint generation.
-    /// Errors on a missing generation, a bad header, an unsupported
-    /// version, or a malformed payload.
-    pub fn load(&self) -> Result<Vec<RunRecord>, CheckpointError> {
-        self.load_full().map(|(runs, _)| runs)
-    }
-
-    /// Like [`Checkpointer::load`], but also returns the master identity
-    /// table (rebuilt from the runs when the file predates v2).
-    pub fn load_full(&self) -> Result<(Vec<RunRecord>, HostTable), CheckpointError> {
-        let b = self.open_ns()?;
-        match b.latest(&self.ns)? {
-            Some(rec) => Self::parse_payload(&rec.value),
-            None => Err(CheckpointError::Io(std::io::Error::new(
-                std::io::ErrorKind::NotFound,
-                "no checkpoint generation",
-            ))),
-        }
-    }
-
     /// Parses one raw checkpoint file (used directly by tests that poke
     /// at a specific generation on disk).
     #[cfg_attr(not(test), allow(dead_code))]
-    fn load_file(path: &Path) -> Result<(Vec<RunRecord>, HostTable), CheckpointError> {
+    fn load_file(path: &Path) -> Result<CheckpointDoc, CheckpointError> {
         Self::parse_payload(&fs::read(path)?)
     }
 
-    /// Decodes header + payload bytes into runs and identity table.
-    fn parse_payload(bytes: &[u8]) -> Result<(Vec<RunRecord>, HostTable), CheckpointError> {
+    /// Decodes header + payload bytes into a document.
+    fn parse_payload(bytes: &[u8]) -> Result<CheckpointDoc, CheckpointError> {
         let text = std::str::from_utf8(bytes)
             .map_err(|_| CheckpointError::Corrupt("checkpoint is not UTF-8".to_string()))?;
         let Some((header, payload)) = text.split_once('\n') else {
@@ -321,7 +319,11 @@ impl Checkpointer {
                     table.intern(h);
                 }
             }
-            return Ok((runs, table));
+            return Ok(CheckpointDoc {
+                table,
+                runs,
+                stability: None,
+            });
         }
         let doc: CheckpointDoc = serde_json::from_str(payload)
             .map_err(|e| CheckpointError::Corrupt(format!("payload rejected: {e}")))?;
@@ -337,12 +339,12 @@ impl Checkpointer {
                 }
             }
         }
-        Ok((doc.runs, doc.table))
+        Ok(doc)
     }
 
     /// Loads the best available generation, never failing: the newest
     /// intact one wins (primary), older ones are fallbacks (backup),
-    /// and with none usable the history starts empty. Corruption is
+    /// and with none usable the aggregator starts fresh. Corruption is
     /// reported in [`Recovery::notes`] rather than as an error, so a
     /// restarting aggregator always comes up.
     pub fn load_or_recover(&self) -> Recovery {
@@ -365,10 +367,11 @@ impl Checkpointer {
         for (i, rec) in gens.iter().rev().enumerate() {
             let tier = if i == 0 { "primary" } else { "backup" };
             match Self::parse_payload(&rec.value) {
-                Ok((runs, table)) => {
+                Ok(doc) => {
                     return Recovery {
-                        runs,
-                        table,
+                        runs: doc.runs,
+                        table: doc.table,
+                        stability: doc.stability,
                         source: if i == 0 {
                             RecoverySource::Primary
                         } else {
@@ -383,6 +386,7 @@ impl Checkpointer {
         Recovery {
             runs: Vec::new(),
             table: HostTable::new(),
+            stability: None,
             source: RecoverySource::Fresh,
             notes,
         }
@@ -419,8 +423,19 @@ mod tests {
             }
         }
         agg.attach(Box::new(ReplayProbe::new("p0", trace)));
-        agg.drain();
-        agg.history().read().clone()
+        agg.drain()
+    }
+
+    /// The identity table live ingestion builds for `runs`: each run's
+    /// hosts interned in order.
+    fn table_of(runs: &[RunRecord]) -> HostTable {
+        let mut table = HostTable::new();
+        for run in runs {
+            for h in run.connsets.hosts() {
+                table.intern(h);
+            }
+        }
+        table
     }
 
     #[test]
@@ -428,12 +443,14 @@ mod tests {
         let dir = temp_dir("round");
         let ck = Checkpointer::new(dir.join("history.ckpt"));
         let runs = sample_runs();
-        ck.save(&runs).unwrap();
-        let back = ck.load().unwrap();
-        assert_eq!(back.len(), runs.len());
-        assert_eq!(back[0].window, runs[0].window);
+        ck.save_with_table(&runs, &table_of(&runs)).unwrap();
+        let back = ck.load_or_recover();
+        assert_eq!(back.source, RecoverySource::Primary);
+        assert!(back.stability.is_none());
+        assert_eq!(back.runs.len(), runs.len());
+        assert_eq!(back.runs[0].window, runs[0].window);
         assert_eq!(
-            back[1].grouping.group_of(HostAddr::v4(1)),
+            back.runs[1].grouping.group_of(HostAddr::v4(1)),
             runs[1].grouping.group_of(HostAddr::v4(1))
         );
         let _ = fs::remove_dir_all(&dir);
@@ -444,12 +461,13 @@ mod tests {
         let dir = temp_dir("backup");
         let ck = Checkpointer::new(dir.join("history.ckpt"));
         let runs = sample_runs();
-        ck.save(&runs[..1]).unwrap();
-        ck.save(&runs).unwrap();
+        ck.save_with_table(&runs[..1], &table_of(&runs[..1]))
+            .unwrap();
+        ck.save_with_table(&runs, &table_of(&runs)).unwrap();
         assert!(ck.backup_path().exists());
-        let (backup, _) = Checkpointer::load_file(&ck.backup_path()).unwrap();
-        assert_eq!(backup.len(), 1);
-        assert_eq!(ck.load().unwrap().len(), 2);
+        let backup = Checkpointer::load_file(&ck.backup_path()).unwrap();
+        assert_eq!(backup.runs.len(), 1);
+        assert_eq!(ck.load_or_recover().runs.len(), 2);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -458,12 +476,16 @@ mod tests {
         let dir = temp_dir("trunc");
         let ck = Checkpointer::new(dir.join("history.ckpt"));
         let runs = sample_runs();
-        ck.save(&runs[..1]).unwrap();
-        ck.save(&runs).unwrap();
+        ck.save_with_table(&runs[..1], &table_of(&runs[..1]))
+            .unwrap();
+        ck.save_with_table(&runs, &table_of(&runs)).unwrap();
         // Simulate a crash/disk fault: chop the primary mid-payload.
         let text = fs::read_to_string(ck.path()).unwrap();
         fs::write(ck.path(), &text[..text.len() / 2]).unwrap();
-        assert!(matches!(ck.load(), Err(CheckpointError::Corrupt(_))));
+        assert!(matches!(
+            Checkpointer::load_file(ck.path()),
+            Err(CheckpointError::Corrupt(_))
+        ));
         let rec = ck.load_or_recover();
         assert_eq!(rec.source, RecoverySource::Backup);
         assert_eq!(rec.runs.len(), 1);
@@ -493,7 +515,13 @@ mod tests {
         let dir = temp_dir("version");
         let ck = Checkpointer::new(dir.join("history.ckpt"));
         fs::write(ck.path(), "roleclass-checkpoint v99\n[]").unwrap();
-        assert!(matches!(ck.load(), Err(CheckpointError::BadVersion(99))));
+        assert!(matches!(
+            Checkpointer::load_file(ck.path()),
+            Err(CheckpointError::BadVersion(99))
+        ));
+        let rec = ck.load_or_recover();
+        assert_eq!(rec.source, RecoverySource::Fresh);
+        assert!(rec.notes.iter().any(|n| n.contains("version 99")));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -503,20 +531,16 @@ mod tests {
         let ck = Checkpointer::new(dir.join("history.ckpt"));
         let runs = sample_runs();
         // A live master table may know hosts no retained run mentions.
-        let mut master = flow::HostTable::new();
-        for run in &runs {
-            for h in run.connsets.hosts() {
-                master.intern(h);
-            }
-        }
+        let mut master = table_of(&runs);
         let retired = master.intern(HostAddr::v4(0xDEAD));
         ck.save_with_table(&runs, &master).unwrap();
-        let (back_runs, back_table) = ck.load_full().unwrap();
-        assert_eq!(back_runs.len(), runs.len());
-        assert_eq!(back_table.len(), master.len());
-        assert_eq!(back_table.get(HostAddr::v4(0xDEAD)), Some(retired));
+        let back = ck.load_or_recover();
+        assert_eq!(back.source, RecoverySource::Primary);
+        assert_eq!(back.runs.len(), runs.len());
+        assert_eq!(back.table.len(), master.len());
+        assert_eq!(back.table.get(HostAddr::v4(0xDEAD)), Some(retired));
         for (id, addr) in master.iter() {
-            assert_eq!(back_table.get(addr), Some(id));
+            assert_eq!(back.table.get(addr), Some(id));
         }
         let _ = fs::remove_dir_all(&dir);
     }
@@ -529,18 +553,14 @@ mod tests {
         // Hand-write a v1 file: bare run array, no table.
         let payload = serde_json::to_string(&runs).unwrap();
         fs::write(ck.path(), format!("roleclass-checkpoint v1\n{payload}")).unwrap();
-        let (back_runs, table) = ck.load_full().unwrap();
-        assert_eq!(back_runs.len(), runs.len());
+        let back = ck.load_or_recover();
+        assert_eq!(back.source, RecoverySource::Primary);
+        assert_eq!(back.runs.len(), runs.len());
         // The rebuilt table covers every host the runs mention, densely.
-        let mut expected = flow::HostTable::new();
-        for run in &runs {
-            for h in run.connsets.hosts() {
-                expected.intern(h);
-            }
-        }
-        assert_eq!(table.len(), expected.len());
+        let expected = table_of(&runs);
+        assert_eq!(back.table.len(), expected.len());
         for (id, addr) in expected.iter() {
-            assert_eq!(table.get(addr), Some(id));
+            assert_eq!(back.table.get(addr), Some(id));
         }
         let _ = fs::remove_dir_all(&dir);
     }
@@ -553,7 +573,11 @@ mod tests {
         // A table that misses hosts the runs mention: rejected.
         let empty = flow::HostTable::new();
         ck.save_with_table(&runs, &empty).unwrap();
-        assert!(matches!(ck.load(), Err(CheckpointError::Corrupt(_))));
+        assert!(matches!(
+            Checkpointer::load_file(ck.path()),
+            Err(CheckpointError::Corrupt(_))
+        ));
+        assert_eq!(ck.load_or_recover().source, RecoverySource::Fresh);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -571,8 +595,8 @@ mod tests {
             retries: 2,
             errors: vec!["transient probe failure: timeout".to_string()],
         };
-        ck.save(&runs).unwrap();
-        let back = ck.load().unwrap();
+        ck.save_with_table(&runs, &table_of(&runs)).unwrap();
+        let back = ck.load_or_recover().runs;
         assert!(back[0].health.degraded());
         assert_eq!(back[0].health.records_dropped, 7);
         assert_eq!(back[0].health.errors.len(), 1);

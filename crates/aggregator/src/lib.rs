@@ -10,7 +10,7 @@
 //! * [`probe`] — probes that replay flow records into the aggregator
 //!   (the workspace stand-in for link-attached capture devices).
 //! * [`pipeline`] — the aggregator: windowed ingestion, periodic
-//!   classification runs, correlation-linked run history.
+//!   classification runs, each correlated with the one before.
 //! * [`labels`] — persistent role labels attached to (correlated) group
 //!   ids.
 //! * [`policy`] — group-level communication policies and their
@@ -21,10 +21,11 @@
 //!   alarm").
 //! * [`supervisor`] — retry/backoff/quarantine supervision so one
 //!   flapping probe cannot stall or crash a classification cycle.
-//! * [`checkpoint`] — crash-safe, versioned persistence of the run
-//!   history, so correlation (and thus group ids) survives restarts.
+//! * [`checkpoint`] — crash-safe, versioned persistence of what a
+//!   restart needs (identity table, last run, stability state), so
+//!   correlation (and thus group ids) survives restarts.
 //! * [`store`] — the pluggable storage stack: checkpointer, flight
-//!   recorder, and per-window run history sharing one
+//!   recorder, and the per-window run archive sharing one
 //!   [`storage::StorageBackend`], which is what powers time-travel
 //!   queries (`rcctl explain --at`) and the `/history` endpoint.
 //! * [`transport`] — the probe→aggregator wire: a length-prefixed frame
@@ -48,7 +49,7 @@ pub use alerts::{
     checkpoint_fallback_alert, degraded_window_alert, role_churn_alert, Alert, AlertKind,
     ChurnPolicy, NewNeighborDetector, Severity,
 };
-pub use checkpoint::{CheckpointError, Checkpointer, Recovery, RecoverySource};
+pub use checkpoint::{CheckpointError, Checkpointer, Recovery, RecoverySource, StabilityResume};
 pub use flight::{read_journal_lines, FlightRecorder};
 pub use labels::LabelStore;
 pub use pipeline::{

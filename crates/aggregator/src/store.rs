@@ -237,8 +237,7 @@ mod tests {
             }
         }
         agg.attach(Box::new(ReplayProbe::new("p0", trace)));
-        agg.drain();
-        agg.history().read().clone()
+        agg.drain()
     }
 
     #[test]
@@ -277,7 +276,10 @@ mod tests {
         let runs = sample_runs(3);
         {
             let stack = StorageStack::open(&config).unwrap();
-            stack.checkpointer().save(&runs).unwrap();
+            stack
+                .checkpointer()
+                .save_with_table(&runs, runs[2].connsets.table())
+                .unwrap();
             stack
                 .recorder()
                 .append("roleclass_aggregator_window_started", vec![]);
@@ -288,7 +290,7 @@ mod tests {
         }
         // Reopen: every consumer sees its state.
         let stack = StorageStack::open(&config).unwrap();
-        assert_eq!(stack.checkpointer().load().unwrap().len(), 3);
+        assert_eq!(stack.checkpointer().load_or_recover().runs.len(), 3);
         assert_eq!(stack.recorder().next_seq(), 1);
         assert_eq!(stack.runs().len().unwrap(), 3);
         let pruned = stack.runs().prune().unwrap();

@@ -74,11 +74,13 @@ fn flaky_probe_over_many_windows_keeps_correlation_continuity() {
         42,
     )));
 
-    let cycles = agg.drain();
-    assert_eq!(cycles, WINDOWS as usize, "every window must classify");
+    let history = agg.drain();
+    assert_eq!(
+        history.len(),
+        WINDOWS as usize,
+        "every window must classify"
+    );
 
-    let history = agg.history();
-    let history = history.read();
     let mut degraded = 0;
     let mut healthy = 0;
     for run in history.iter() {
@@ -166,10 +168,8 @@ fn dead_probe_is_quarantined_and_the_rest_continue() {
         7,
     )));
 
-    let cycles = agg.drain();
-    assert_eq!(cycles, WINDOWS as usize);
-    let history = agg.history();
-    let history = history.read();
+    let history = agg.drain();
+    assert_eq!(history.len(), WINDOWS as usize);
     assert!(history.iter().all(|r| r.health.degraded()));
     // Budget is 3 failed windows; everything after that is skipped.
     let skipped: usize = history.iter().map(|r| r.health.probes_skipped).sum();
@@ -201,10 +201,8 @@ fn lossy_and_skewed_probes_do_not_break_structure() {
         0.3,
         6,
     )));
-    let cycles = agg.drain();
-    assert_eq!(cycles, WINDOWS as usize);
-    let history = agg.history();
-    let history = history.read();
+    let history = agg.drain();
+    assert_eq!(history.len(), WINDOWS as usize);
     for run in history.iter() {
         // Lossy but never failing: the window is *not* marked degraded
         // (that is exactly why record counts are tracked separately).
@@ -231,10 +229,8 @@ fn lossy_and_skewed_probes_do_not_break_structure() {
         ReplayProbe::new("pod-a", pod_a(WINDOWS)),
         250,
     )));
-    let cycles = agg2.drain();
-    assert!(cycles >= WINDOWS as usize);
-    let history2 = agg2.history();
-    let history2 = history2.read();
+    let history2 = agg2.drain();
+    assert!(history2.len() >= WINDOWS as usize);
     let classified: usize = history2
         .iter()
         .map(|r| r.connsets.host_count())

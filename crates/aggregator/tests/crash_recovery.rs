@@ -2,13 +2,16 @@
 //! with stable group ids, even when the primary checkpoint was corrupted
 //! mid-crash.
 
+use aggregator::store::CHECKPOINT_NS;
 use aggregator::{
-    Aggregator, AggregatorConfig, Checkpointer, RecoverySource, ReplayProbe, SupervisorConfig,
+    Aggregator, AggregatorConfig, Alert, AlertKind, Checkpointer, RecoverySource, ReplayProbe,
+    RunRecord, StorageStack, SupervisorConfig,
 };
-use flow::{FlowRecord, HostAddr};
+use flow::{FlowRecord, HostAddr, TimeWindow};
 use roleclass::{EngineConfig, Params};
 use std::fs;
 use std::path::PathBuf;
+use storage::StorageConfig;
 
 const WINDOW_MS: u64 = 1000;
 
@@ -34,6 +37,73 @@ fn window_trace(w: u64) -> Vec<FlowRecord> {
         }
     }
     out
+}
+
+/// Pod A's clients in window `w` of the churning trace: twelve, then
+/// five at window 4 and two at window 5. Each drop keeps under half of
+/// the previous members, so one RoleChurn episode opens at window 4 and
+/// is still open at window 5.
+fn pod_a(w: u64) -> std::ops::RangeInclusive<u32> {
+    match w {
+        0..=3 => 11..=22,
+        4 => 11..=15,
+        _ => 11..=12,
+    }
+}
+
+/// `windows` windows of a churning network: pod A (servers 1, 2, 3)
+/// collapses as [`pod_a`] says, pod B (servers 1, 2, 4) holds steady,
+/// and host 41 wanders between the two pods every window.
+fn churn_trace(windows: u64) -> Vec<FlowRecord> {
+    let mut out = Vec::new();
+    for w in 0..windows {
+        let wanderer = if w % 2 == 0 { [1, 2, 3] } else { [1, 2, 4] };
+        let clients = pod_a(w)
+            .map(|c| (c, [1u32, 2, 3]))
+            .chain([31u32, 32, 33].map(|c| (c, [1, 2, 4])))
+            .chain([(41, wanderer)]);
+        for (i, (c, servers)) in clients.enumerate() {
+            for (j, s) in servers.into_iter().enumerate() {
+                let mut f = FlowRecord::pair(h(c), h(s));
+                f.start_ms = w * WINDOW_MS + (i * 3 + j) as u64;
+                out.push(f);
+            }
+        }
+    }
+    out
+}
+
+fn role_churn_windows(alerts: &[Alert]) -> Vec<u64> {
+    alerts
+        .iter()
+        .filter_map(|a| match a.kind {
+            AlertKind::RoleChurn { window, .. } => Some(window.start_ms),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Runs `windows` more windows on the uninterrupted aggregator `a` and
+/// the restored `b`, and requires them to agree on every run's window,
+/// grouping and correlation, the alerts queued, the stability rows,
+/// the churn table and the host ids.
+fn assert_same_continuation(a: &mut Aggregator, b: &mut Aggregator, windows: u64) {
+    let rows_before = a.stability_history().len();
+    for _ in 0..windows {
+        let (ra, rb) = (a.run_cycle(), b.run_cycle());
+        assert_eq!(ra.window, rb.window);
+        assert_eq!(ra.grouping, rb.grouping, "window {:?}", ra.window);
+        assert_eq!(
+            format!("{:?}", ra.correlation),
+            format!("{:?}", rb.correlation),
+            "window {:?}",
+            ra.window
+        );
+        assert_eq!(a.take_alerts(), b.take_alerts(), "window {:?}", ra.window);
+    }
+    assert_eq!(&a.stability_history()[rows_before..], b.stability_history());
+    assert_eq!(a.churn_table(), b.churn_table());
+    assert!(a.host_table().iter().eq(b.host_table().iter()));
 }
 
 fn config() -> AggregatorConfig {
@@ -77,7 +147,10 @@ fn restart_resumes_correlation_with_stable_ids() {
     let recovery = agg2.restore_from(&ck);
     assert_eq!(recovery.source, RecoverySource::Primary);
     assert!(recovery.notes.is_empty());
-    assert_eq!(agg2.history().read().len(), 2);
+    // The restored anchor is the last checkpointed window.
+    let anchor = recovery.runs.last().expect("an anchor run");
+    assert_eq!(anchor.window, TimeWindow::new(WINDOW_MS, 2 * WINDOW_MS));
+    assert_eq!(agg2.current_grouping().as_ref(), Some(&before));
 
     // The next window continues the chain: same window numbering, same
     // group ids for every host.
@@ -118,8 +191,10 @@ fn truncated_checkpoint_recovers_to_last_good_state() {
     let recovery = agg2.restore_from(&ck);
     assert_eq!(recovery.source, RecoverySource::Backup);
     assert!(recovery.notes.iter().any(|n| n.contains("primary")));
-    // Last good state = the one-run checkpoint.
-    assert_eq!(agg2.history().read().len(), 1);
+    // Last good state = the checkpoint taken after the first window.
+    let anchor = recovery.runs.last().expect("an anchor run");
+    assert_eq!(anchor.window, TimeWindow::new(0, WINDOW_MS));
+    assert_eq!(agg2.current_grouping().as_ref(), Some(&after_first));
 
     // Ingestion resumes from window 1 (after the recovered run) and the
     // correlation chain holds.
@@ -149,7 +224,8 @@ fn total_corruption_falls_back_to_fresh_start() {
     let recovery = agg.restore_from(&ck);
     assert_eq!(recovery.source, RecoverySource::Fresh);
     assert_eq!(recovery.notes.len(), 2);
-    assert!(agg.history().read().is_empty());
+    assert!(recovery.runs.is_empty());
+    assert!(agg.current_grouping().is_none());
 
     // Still fully operational: classification starts over from window 0.
     let run = agg.run_cycle();
@@ -157,4 +233,98 @@ fn total_corruption_falls_back_to_fresh_start() {
     assert!(run.correlation.is_none());
     assert_eq!(run.grouping.host_count(), 10);
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// The last window the churning runs checkpoint after, and how many
+/// windows they run in all.
+const K: u64 = 4;
+const N: u64 = 8;
+
+#[test]
+fn restore_continues_exactly_like_the_uninterrupted_run() {
+    let dir = temp_dir("equivalence");
+    let ck = Checkpointer::new(dir.join("history.ckpt"));
+
+    let mut a = Aggregator::new(config());
+    a.attach(Box::new(ReplayProbe::new("p0", churn_trace(N))));
+    for _ in 0..=K {
+        a.run_cycle();
+    }
+    a.checkpoint(&ck).unwrap();
+    // The collapse episode opened at window K, before the checkpoint.
+    assert_eq!(role_churn_windows(&a.take_alerts()), [K * WINDOW_MS]);
+
+    let mut b = Aggregator::new(config());
+    b.attach(Box::new(ReplayProbe::new("p0", churn_trace(N))));
+    let recovery = b.restore_from(&ck);
+    assert_eq!(recovery.source, RecoverySource::Primary);
+    assert_eq!(recovery.runs.len(), 1, "v3 anchors on the last run only");
+    assert!(recovery.stability.is_some());
+    assert!(b.take_alerts().is_empty());
+    assert_eq!(b.current_grouping(), a.current_grouping());
+
+    assert_same_continuation(&mut a, &mut b, N - K - 1);
+    // Window K+1 is still collapsed, so only the restored latch kept B
+    // from alerting a second time for the open episode.
+    let first = &b.stability_history()[0];
+    assert!(first
+        .groups
+        .iter()
+        .any(|g| g.persistence >= 2 && g.prev_members >= 3 && g.backbone < 0.5));
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn literal_v2_checkpoint_still_restores() {
+    let dir = temp_dir("v2");
+    let ck = Checkpointer::new(dir.join("history.ckpt"));
+
+    let mut a = Aggregator::new(config());
+    a.attach(Box::new(ReplayProbe::new("p0", churn_trace(N))));
+    let runs: Vec<RunRecord> = (0..=K).map(|_| a.run_cycle()).collect();
+    assert_eq!(role_churn_windows(&a.take_alerts()), [K * WINDOW_MS]);
+    // A v2 file as earlier releases wrote it: the identity table and
+    // every run, with no stability state.
+    let payload = format!(
+        "roleclass-checkpoint v2\n{{\"table\":{},\"runs\":{}}}",
+        serde_json::to_string(a.host_table()).unwrap(),
+        serde_json::to_string(&runs).unwrap()
+    );
+    fs::write(ck.path(), payload).unwrap();
+
+    let mut b = Aggregator::new(config());
+    b.attach(Box::new(ReplayProbe::new("p0", churn_trace(N))));
+    let recovery = b.restore_from(&ck);
+    assert_eq!(recovery.source, RecoverySource::Primary);
+    assert!(recovery.notes.is_empty());
+    assert_eq!(recovery.runs.len(), runs.len());
+    assert!(recovery.stability.is_none());
+    assert!(b.take_alerts().is_empty());
+    assert_eq!(b.churn_table(), a.churn_table());
+
+    assert_same_continuation(&mut a, &mut b, N - K - 1);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn checkpoint_size_is_flat_in_uptime() {
+    let stack = StorageStack::open(&StorageConfig::memory()).unwrap();
+    let mut agg = Aggregator::new(config());
+    agg.attach(Box::new(ReplayProbe::new(
+        "p0",
+        (0..60).flat_map(window_trace).collect(),
+    )));
+    let mut sizes = Vec::new();
+    for w in 1..=60 {
+        agg.run_cycle();
+        if [5, 20, 60].contains(&w) {
+            agg.checkpoint(stack.checkpointer()).unwrap();
+            let latest = stack.backend().latest(CHECKPOINT_NS).unwrap();
+            sizes.push(latest.expect("a checkpoint generation").value.len());
+        }
+    }
+    assert!(
+        sizes[2] as f64 <= 1.1 * sizes[0] as f64,
+        "checkpoint bytes after windows 5, 20, 60: {sizes:?}"
+    );
 }

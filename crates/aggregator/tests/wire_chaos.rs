@@ -18,8 +18,8 @@
 
 use aggregator::{read_journal_lines, AlertKind, FlightRecorder};
 use aggregator::{
-    Aggregator, AggregatorConfig, ProbeHealth, ReplayProbe, SupervisorConfig, TransportConfig,
-    TransportError, WireListener,
+    Aggregator, AggregatorConfig, ProbeHealth, ReplayProbe, RunRecord, SupervisorConfig,
+    TransportConfig, TransportError, WireListener,
 };
 use flow::{FlowRecord, HostAddr};
 use roleclass::{EngineConfig, Params};
@@ -69,11 +69,8 @@ fn config() -> AggregatorConfig {
 
 /// The comparable portion of a run: everything except `health`
 /// (retries and timing differ across transports by design).
-fn outcome_fingerprint(agg: &Aggregator) -> Vec<String> {
-    let history = agg.history();
-    let history = history.read();
-    history
-        .iter()
+fn outcome_fingerprint(runs: &[RunRecord]) -> Vec<String> {
+    runs.iter()
         .map(|r| {
             let grouping = serde_json::to_string(&r.grouping).unwrap();
             let correlation = serde_json::to_string(&r.correlation).unwrap();
@@ -90,10 +87,8 @@ fn chaos_wire_runs_are_bit_identical_to_in_process() {
     // Baseline: the same records ingested in-process.
     let mut baseline = Aggregator::new(config());
     baseline.attach(Box::new(ReplayProbe::new("edge", records.clone())));
-    for _ in 0..WINDOWS {
-        baseline.run_cycle();
-    }
-    let expected = outcome_fingerprint(&baseline);
+    let runs: Vec<RunRecord> = (0..WINDOWS).map(|_| baseline.run_cycle()).collect();
+    let expected = outcome_fingerprint(&runs);
     assert_eq!(expected.len(), WINDOWS as usize);
 
     let mut total_faults = 0u64;
@@ -122,9 +117,7 @@ fn chaos_wire_runs_are_bit_identical_to_in_process() {
 
         let mut agg = Aggregator::new(config());
         agg.attach(Box::new(listener.probe("edge")));
-        for _ in 0..WINDOWS {
-            agg.run_cycle();
-        }
+        let runs: Vec<RunRecord> = (0..WINDOWS).map(|_| agg.run_cycle()).collect();
 
         let stats = sender
             .join()
@@ -132,14 +125,13 @@ fn chaos_wire_runs_are_bit_identical_to_in_process() {
             .unwrap_or_else(|e| panic!("seed {seed}: sender failed: {e}"));
         assert_eq!(stats.records_sent, records.len() as u64, "seed {seed}");
 
-        let got = outcome_fingerprint(&agg);
+        let got = outcome_fingerprint(&runs);
         assert_eq!(
             got, expected,
             "seed {seed}: wire run diverged from in-process run"
         );
-        let history = agg.history();
         assert!(
-            history.read().iter().all(|r| !r.health.degraded()),
+            runs.iter().all(|r| !r.health.degraded()),
             "seed {seed}: recoverable faults must not degrade windows"
         );
 

@@ -12,7 +12,9 @@
 //!    `scripts/bench.sh` stores it as `BENCH_pipeline.json`.
 
 use aggregator::transport::{stream_records, TransportConfig, WireListener};
-use aggregator::{Aggregator, AggregatorConfig, ReplayProbe, StorageStack, SupervisorConfig};
+use aggregator::{
+    Aggregator, AggregatorConfig, ReplayProbe, RunRecord, StorageStack, SupervisorConfig,
+};
 use bench::{banner, quick_mode, render_table, workers_from_env};
 use roleclass::{EngineConfig, Params, PruneMode};
 use std::collections::BTreeMap;
@@ -96,8 +98,12 @@ fn main() {
     })
     .with_recorder(Arc::clone(&recorder));
     agg.attach(Box::new(ReplayProbe::new("replay", records.clone())));
-    let cycles = agg.drain();
-    assert_eq!(cycles as u64, windows, "trace must fill every window");
+    let traced_runs = agg.drain();
+    assert_eq!(
+        traced_runs.len() as u64,
+        windows,
+        "trace must fill every window"
+    );
 
     // Where the time went in the last window, nested.
     let spans = recorder.spans();
@@ -207,18 +213,16 @@ fn main() {
         supervisor: SupervisorConfig::immediate(),
         ..AggregatorConfig::default()
     };
-    let fingerprint = |agg: &Aggregator| -> Vec<String> {
-        let history = agg.history();
-        let history = history.read();
-        history
-            .iter()
+    let fingerprint = |runs: &[RunRecord]| -> Vec<String> {
+        runs.iter()
             .map(|r| format!("{:?}|{:?}|{:?}", r.window, r.grouping, r.correlation))
             .collect()
     };
     let t0 = std::time::Instant::now();
     let mut in_process = Aggregator::new(config.clone());
     in_process.attach(Box::new(ReplayProbe::new("probe", records.clone())));
-    assert_eq!(in_process.drain() as u64, windows);
+    let in_process_runs = in_process.drain();
+    assert_eq!(in_process_runs.len() as u64, windows);
     let in_process_secs = t0.elapsed().as_secs_f64();
 
     let t1 = std::time::Instant::now();
@@ -238,21 +242,19 @@ fn main() {
     });
     let mut wire = Aggregator::new(config.clone());
     wire.attach(Box::new(listener.probe("probe")));
-    for _ in 0..windows {
-        let run = wire.run_cycle();
-        assert!(
-            !run.health.degraded(),
-            "loopback wire run must stay healthy"
-        );
-    }
+    let wire_runs: Vec<RunRecord> = (0..windows).map(|_| wire.run_cycle()).collect();
+    assert!(
+        wire_runs.iter().all(|run| !run.health.degraded()),
+        "loopback wire run must stay healthy"
+    );
     let stats = sender
         .join()
         .expect("sender thread")
         .expect("clean loopback stream");
     let wire_secs = t1.elapsed().as_secs_f64();
     assert_eq!(
-        fingerprint(&in_process),
-        fingerprint(&wire),
+        fingerprint(&in_process_runs),
+        fingerprint(&wire_runs),
         "wire outcomes must be identical to the in-process run"
     );
     let wire_overhead_pct = (wire_secs / in_process_secs - 1.0) * 100.0;
@@ -267,8 +269,8 @@ loopback TCP {wire_secs:.3}s ({wire_overhead_pct:+.1}%), {} frame(s), {} byte(s)
     // run above must have produced bit-identical stability rows, and
     // the per-cycle update must stay marginal next to the window time.
     assert_eq!(
-        fingerprint(&in_process),
-        fingerprint(&agg),
+        fingerprint(&in_process_runs),
+        fingerprint(&traced_runs),
         "stability scoring must not perturb outcomes"
     );
     assert_eq!(
@@ -303,7 +305,7 @@ vs window {window_total_secs:.3}s ({stability_overhead_pct:.2}%), rows identical
     // end-of-run checkpoint), once per backend. Persistence may cost
     // time, never correctness — every backend's run history and
     // groupings must be bit-identical to the plain in-process run.
-    let base_fp = fingerprint(&in_process);
+    let base_fp = fingerprint(&in_process_runs);
     let mut storage_json = String::new();
     for kind in [
         BackendKind::Memory,
@@ -323,7 +325,8 @@ vs window {window_total_secs:.3}s ({stability_overhead_pct:.2}%), rows identical
             .with_shared_flight_recorder(Arc::clone(stack.recorder()))
             .with_run_store(Arc::clone(stack.runs()));
         stored.attach(Box::new(ReplayProbe::new("probe", records.clone())));
-        assert_eq!(stored.drain() as u64, windows);
+        let stored_runs = stored.drain();
+        assert_eq!(stored_runs.len() as u64, windows);
         stored
             .checkpoint(stack.checkpointer())
             .expect("cut checkpoint");
@@ -331,7 +334,7 @@ vs window {window_total_secs:.3}s ({stability_overhead_pct:.2}%), rows identical
         let stored_secs = t2.elapsed().as_secs_f64();
         assert_eq!(
             base_fp,
-            fingerprint(&stored),
+            fingerprint(&stored_runs),
             "storage backend {kind:?} must not perturb outcomes"
         );
         let retained = stack.runs().len().expect("count retained windows");

@@ -82,8 +82,8 @@ pub use merging::{try_merge_groups, MergeEvent, MergeOutcome};
 pub use model::{avg_similarity, avg_similarity_violations, s_min_violations, similarity};
 pub use params::{ParamError, Params, SimilarityVariant, TieBreak};
 pub use stability::{
-    GroupStability, HostChurn, StabilityTracker, WindowStability, DEFAULT_CHURN_HORIZON,
-    STABILITY_EVENT_NAMES, STABILITY_METRIC_NAMES,
+    GroupStability, HostChurn, StabilityTracker, TrackerState, WindowStability,
+    DEFAULT_CHURN_HORIZON, STABILITY_EVENT_NAMES, STABILITY_METRIC_NAMES,
 };
 
 /// One-stop imports for typical pipeline code.

@@ -156,6 +156,23 @@ pub struct StabilityTracker {
     assignments: BTreeMap<HostAddr, VecDeque<GroupId>>,
 }
 
+/// The part of a [`StabilityTracker`] that its last observed grouping
+/// does not already hold: the window counter, each published group's
+/// persistence streak, and each host's recent assignments (at most the
+/// horizon apiece). Its size is bounded by the hosts and groups
+/// observed, never by the number of windows, so a checkpoint can carry
+/// it and a restarted pipeline scores its next window exactly as an
+/// uninterrupted one would (see [`StabilityTracker::resume`]).
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct TrackerState {
+    /// Index of the next window to observe.
+    pub next_window: u64,
+    /// Persistence of each currently published group id.
+    pub persistence: Vec<(GroupId, u64)>,
+    /// Each host's recent published group ids, oldest first.
+    pub assignments: BTreeMap<HostAddr, Vec<GroupId>>,
+}
+
 impl Default for StabilityTracker {
     fn default() -> Self {
         StabilityTracker::new(DEFAULT_CHURN_HORIZON)
@@ -191,11 +208,7 @@ impl StabilityTracker {
         let window = self.next_window;
         self.next_window += 1;
 
-        let curr: BTreeMap<GroupId, BTreeSet<HostAddr>> = grouping
-            .groups()
-            .iter()
-            .map(|g| (g.id, g.members.iter().copied().collect()))
-            .collect();
+        let curr = members_by_group(grouping);
 
         let mut groups = Vec::with_capacity(curr.len());
         let mut new_groups = 0usize;
@@ -267,6 +280,40 @@ impl StabilityTracker {
         }
     }
 
+    /// The tracker's state minus its last observed grouping — what
+    /// [`StabilityTracker::resume`] needs next to that grouping.
+    pub fn state(&self) -> TrackerState {
+        TrackerState {
+            next_window: self.next_window,
+            persistence: self.persistence.iter().map(|(g, p)| (*g, *p)).collect(),
+            assignments: self
+                .assignments
+                .iter()
+                .map(|(h, tail)| (*h, tail.iter().copied().collect()))
+                .collect(),
+        }
+    }
+
+    /// Rebuilds a tracker from `state` and `last`, the grouping it had
+    /// observed last. With the same `horizon` the result continues
+    /// exactly like the tracker `state` came from; a shorter horizon
+    /// keeps each host's newest assignments.
+    pub fn resume(horizon: usize, state: TrackerState, last: &Grouping) -> Self {
+        let mut tracker = StabilityTracker::new(horizon);
+        tracker.next_window = state.next_window;
+        tracker.prev = members_by_group(last);
+        tracker.persistence = state.persistence.into_iter().collect();
+        tracker.assignments = state
+            .assignments
+            .into_iter()
+            .map(|(h, tail)| {
+                let skip = tail.len().saturating_sub(tracker.horizon);
+                (h, tail.into_iter().skip(skip).collect())
+            })
+            .collect();
+        tracker
+    }
+
     /// The persistence of a currently published group id (0 if the id is
     /// not currently published).
     pub fn persistence_of(&self, id: GroupId) -> u64 {
@@ -294,6 +341,14 @@ impl StabilityTracker {
         table.sort_by(|a, b| b.flips.cmp(&a.flips).then(a.host.cmp(&b.host)));
         table
     }
+}
+
+fn members_by_group(grouping: &Grouping) -> BTreeMap<GroupId, BTreeSet<HostAddr>> {
+    grouping
+        .groups()
+        .iter()
+        .map(|g| (g.id, g.members.iter().copied().collect()))
+        .collect()
 }
 
 fn flips(history: &VecDeque<GroupId>) -> u32 {
@@ -418,6 +473,32 @@ mod tests {
         // Host 10 returned to the same group: no churn.
         assert_eq!(ws.churned_hosts, 0);
         assert_eq!(t.host_churn(HostAddr::v4(10)).unwrap().windows, 2);
+    }
+
+    #[test]
+    fn resumed_tracker_continues_like_the_original() {
+        let windows = [
+            grouping(&[(1, &[10, 11, 12]), (2, &[20, 21])]),
+            grouping(&[(1, &[10, 11]), (2, &[12, 20, 21])]),
+            grouping(&[(1, &[10]), (3, &[11, 12]), (2, &[20, 21])]),
+            grouping(&[(1, &[10, 11]), (3, &[12]), (2, &[20, 21, 22])]),
+            grouping(&[(1, &[10, 11, 12]), (2, &[20, 22])]),
+        ];
+        let mut original = StabilityTracker::new(3);
+        for g in &windows[..2] {
+            original.observe(g);
+        }
+        // The state survives a JSON round trip, as it does in a checkpoint.
+        let json = serde_json::to_string(&original.state()).unwrap();
+        let state: TrackerState = serde_json::from_str(&json).unwrap();
+        assert_eq!(state, original.state());
+        let mut resumed = StabilityTracker::resume(3, state, &windows[1]);
+        assert_eq!(resumed.windows_observed(), 2);
+        for g in &windows[2..] {
+            assert_eq!(resumed.observe(g), original.observe(g));
+        }
+        assert_eq!(resumed.churn_table(), original.churn_table());
+        assert_eq!(resumed.state(), original.state());
     }
 
     #[test]

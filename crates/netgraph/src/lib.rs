@@ -18,10 +18,7 @@
 //! * [`kernel`] — the [`CommonNeighborKernel`]: the same counts computed
 //!   **once** in parallel, served per similarity level by thresholding,
 //!   and maintained incrementally through graph contractions.
-//! * [`traversal`] — BFS/DFS orders and distance maps.
 //! * [`unionfind`] — a union-find used by components and by callers.
-//! * [`stats`] — degree and clustering statistics.
-//! * [`dot`] — Graphviz DOT export for inspection and visualization.
 //!
 //! The crate is dependency-light by design and written from scratch; it
 //! is not a general-purpose graph library, but it is a complete one for
@@ -30,13 +27,10 @@
 pub mod bcc;
 pub mod common;
 pub mod components;
-pub mod dot;
 pub mod id;
 pub mod kcore;
 pub mod kernel;
 pub mod simple;
-pub mod stats;
-pub mod traversal;
 pub mod unionfind;
 pub mod wgraph;
 
@@ -52,6 +46,5 @@ pub use kernel::{
     default_worker_count, CommonNeighborKernel, KernelMetrics, NodeBitSet, KERNEL_METRIC_NAMES,
 };
 pub use simple::SimpleGraph;
-pub use stats::{clustering_coefficient, DegreeStats};
 pub use unionfind::UnionFind;
 pub use wgraph::WGraph;

@@ -58,9 +58,22 @@ cargo test -q -p role-classification --lib -- cli::tests serve::tests
 # interleavings against an in-memory model. The aggregator-side
 # round-trip (checkpoint + journal + run history sharing one backend)
 # rides in the crate test below.
-echo "==> storage backend conformance + crash-recovery + schedules"
+#
+# The resume contract, named test by test: an aggregator restored from
+# its checkpoint continues exactly like the uninterrupted one (groupings,
+# correlations, stability rows, churn table, alerts — no second RoleChurn
+# alert for an open episode), the checkpoint's bytes stay flat in
+# uptime, and a literal v2 file (and any checkpoint without resume
+# state) still restores through the replay fallback.
+echo "==> storage conformance + crash-recovery + resume contract (restore equivalence, bounded checkpoint, v2 fallback)"
 cargo test -q -p storage
 cargo test -q -p aggregator --test crash_recovery
+cargo test -q -p aggregator --test crash_recovery -- --exact \
+  restore_continues_exactly_like_the_uninterrupted_run \
+  checkpoint_size_is_flat_in_uptime \
+  literal_v2_checkpoint_still_restores
+cargo test -q -p aggregator --lib -- pipeline::tests::restore_without_resume_state_replays_silently
+cargo test -q -p roleclass --lib -- stability::tests::resumed_tracker_continues_like_the_original
 
 # Wire transport must shrug off a hostile network: the chaos suite runs
 # the loopback-TCP pipeline through the deterministic fault proxy on a

@@ -665,9 +665,10 @@ fn replay_pipeline(o: &Options) -> Result<Replay, CliError> {
             .with_run_store(Arc::clone(stack.runs()));
     }
     agg.attach(Box::new(ReplayProbe::new(&trace.input, trace.records)));
-    let windows = agg.drain();
+    let classified = agg.drain();
+    let windows = classified.len();
     let reports = agg.probe_reports();
-    let health = agg.history().read().last().map(|r| r.health.clone());
+    let health = classified.last().map(|r| r.health.clone());
     let runs = match &stack {
         Some(stack) => {
             agg.checkpoint(stack.checkpointer())
@@ -1117,33 +1118,28 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 .with_recorder(Arc::clone(&recorder));
                 agg.attach(Box::new(listener.probe(&probe)));
                 let cap = o.max_windows.unwrap_or(u64::MAX);
-                let mut windows: u64 = 0;
-                while windows < cap && agg.has_pending_data() {
-                    agg.run_cycle();
-                    windows += 1;
+                let mut runs = Vec::new();
+                while (runs.len() as u64) < cap && agg.has_pending_data() {
+                    runs.push(agg.run_cycle());
                 }
                 let mut out = String::new();
                 use std::fmt::Write as _;
-                let _ = writeln!(out, "windows: {windows}");
-                {
-                    let history = agg.history();
-                    let history = history.read();
-                    for run in history.iter() {
-                        let _ = writeln!(
-                            out,
-                            "window [{}, {}): {} host(s) in {} group(s), {} record(s), {}",
-                            run.window.start_ms,
-                            run.window.end_ms,
-                            run.grouping.host_count(),
-                            run.grouping.group_count(),
-                            run.health.records_accepted,
-                            if run.health.degraded() {
-                                "degraded"
-                            } else {
-                                "healthy"
-                            }
-                        );
-                    }
+                let _ = writeln!(out, "windows: {}", runs.len());
+                for run in &runs {
+                    let _ = writeln!(
+                        out,
+                        "window [{}, {}): {} host(s) in {} group(s), {} record(s), {}",
+                        run.window.start_ms,
+                        run.window.end_ms,
+                        run.grouping.host_count(),
+                        run.grouping.group_count(),
+                        run.health.records_accepted,
+                        if run.health.degraded() {
+                            "degraded"
+                        } else {
+                            "healthy"
+                        }
+                    );
                 }
                 for r in &agg.probe_reports() {
                     let _ = writeln!(

@@ -110,8 +110,7 @@ fn degraded_pipeline_produces_every_declared_event_type() {
     let trace: Vec<FlowRecord> = (0..4).flat_map(window_trace).collect();
     agg.attach(Box::new(ReplayProbe::new("good", trace)));
     agg.attach(Box::new(FatalProbe));
-    let cycles = agg.drain();
-    assert_eq!(cycles, 4);
+    assert_eq!(agg.drain().len(), 4);
     agg.checkpoint(&ck).unwrap();
 
     // Restart: restore is journaled too (checkpoint_restored).

@@ -173,8 +173,8 @@ fn role_drift_scenario_trips_role_churn_exactly_once() {
     let sales_survivor = windows[0].role_hosts("sales")[7];
     let mut agg = Aggregator::new(drift_config(0));
     agg.attach(Box::new(ReplayProbe::new("p0", windowed_records(&windows))));
-    let cycles = agg.drain();
-    assert_eq!(cycles, 6);
+    let history = agg.drain();
+    assert_eq!(history.len(), 6);
 
     let churn_alerts: Vec<_> = agg
         .take_alerts()
@@ -201,8 +201,7 @@ fn role_drift_scenario_trips_role_churn_exactly_once() {
     // The collapse happened in the fourth window (start 3000), on the
     // group the surviving sales hosts still publish under.
     assert_eq!(window.start_ms, 3000);
-    let history = agg.history();
-    let sales_group = history.read()[3]
+    let sales_group = history[3]
         .grouping
         .group_of(sales_survivor)
         .expect("surviving sales host still grouped");

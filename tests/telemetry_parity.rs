@@ -172,23 +172,18 @@ fn stability_rows_are_bit_identical_with_and_without_recorder() {
 
     let mut plain = Aggregator::new(config());
     plain.attach(Box::new(probe()));
-    plain.drain();
+    let a = plain.drain();
 
     let rec = Arc::new(Recorder::new());
     let mut traced = Aggregator::new(config()).with_recorder(Arc::clone(&rec));
     traced.attach(Box::new(probe()));
-    traced.drain();
+    let b = traced.drain();
 
     // The groupings, the stability rows, the churn tables, and the
     // timeseries frames (modulo wall-clock timestamps) all match.
-    {
-        let a = plain.history();
-        let b = traced.history();
-        let (a, b) = (a.read(), b.read());
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert_eq!(x.grouping, y.grouping);
-        }
+    assert_eq!(a.len(), b.len());
+    for (x, y) in a.iter().zip(b.iter()) {
+        assert_eq!(x.grouping, y.grouping);
     }
     assert_eq!(plain.stability_history(), traced.stability_history());
     assert_eq!(plain.churn_table(), traced.churn_table());
