@@ -2,21 +2,21 @@
 //!
 //! Correlation anchors group ids on the previous run: lose it and every
 //! group gets renumbered on restart, which invalidates labels, policies,
-//! and operator intuition. This module persists it as a *checkpoint
-//! file* with:
+//! and operator intuition. This module persists it as *checkpoint
+//! generations* in a snapshot namespace of the
+//! [`StorageStack`](crate::store::StorageStack)'s backend, with:
 //!
 //! * a **versioned header** (`roleclass-checkpoint v3`) so format drift
 //!   is detected instead of misparsed. v3 holds the identity table, the
 //!   last run and the stability resume state, so it does not grow with
 //!   uptime; v2 (table plus every run) and v1 (runs only) still load;
-//! * **atomic writes**: the new checkpoint is written to a temp file and
-//!   renamed over the old one, so a crash mid-write can never leave a
-//!   half-written primary;
-//! * a **backup generation**: the previous checkpoint survives as
-//!   `<path>.bak`, so even external corruption of the primary (disk
-//!   error, truncation) recovers to the last good state;
-//! * **corruption detection**: a truncated or garbage file is reported
-//!   as [`CheckpointError::Corrupt`], never a panic.
+//! * **committed writes**: each save is one snapshot append, fsynced
+//!   before it returns, so a crash mid-write never costs the previous
+//!   generation;
+//! * a **backup generation**: the previous checkpoint stays retained,
+//!   so a primary that fails to parse recovers to the last good state;
+//! * **corruption detection**: a truncated or garbage generation is
+//!   reported as [`CheckpointError::Corrupt`], never a panic.
 
 use crate::pipeline::RunRecord;
 use flow::HostTable;
@@ -24,12 +24,10 @@ use roleclass::{GroupId, TrackerState};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
-use std::fs;
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use storage::{AppendLogBackend, NamespaceProfile, StorageBackend, StorageError};
+use storage::{NamespaceProfile, StorageBackend, StorageError};
 
-/// First header token; anything else is not a checkpoint file.
+/// First header token; anything else is not a checkpoint.
 const MAGIC: &str = "roleclass-checkpoint";
 /// Current format version: v3 adds the stability resume state, so the
 /// aggregator writes only its last run instead of its whole history.
@@ -69,7 +67,7 @@ pub struct StabilityResume {
 pub enum CheckpointError {
     /// Filesystem-level failure.
     Io(std::io::Error),
-    /// The file exists but its contents are not a valid checkpoint
+    /// The generation exists but is not a valid checkpoint
     /// (missing/garbled header, truncated or malformed payload).
     Corrupt(String),
     /// The header is valid but the version is one this build can't read.
@@ -113,7 +111,7 @@ pub enum RecoverySource {
     Primary,
     /// The primary was missing or corrupt; the backup was used.
     Backup,
-    /// Neither file was usable; starting fresh.
+    /// No generation was usable; starting fresh.
     Fresh,
 }
 
@@ -136,7 +134,7 @@ pub struct Recovery {
     /// [`RecoverySource::Fresh`]).
     pub runs: Vec<RunRecord>,
     /// The recovered master identity table (empty for
-    /// [`RecoverySource::Fresh`]; rebuilt from the runs for v1 files).
+    /// [`RecoverySource::Fresh`]; rebuilt from the runs for v1 payloads).
     pub table: HostTable,
     /// The stability resume state, when the checkpoint carries one.
     pub stability: Option<StabilityResume>,
@@ -152,105 +150,45 @@ pub struct Recovery {
 /// Persistence goes through a [`StorageBackend`] snapshot namespace:
 /// each save appends one generation (encoded header + payload), the
 /// backend keeps the newest `generations` of them, and recovery scans
-/// newest → oldest for the first parseable one. The path-based
-/// constructor opens an [`AppendLogBackend`] rooted at the path's
-/// parent, which reproduces the historical on-disk layout exactly:
-/// primary at `<path>`, previous generation at `<path>.bak`, in-flight
-/// writes at `<path>.tmp`.
+/// newest → oldest for the first parseable one.
 #[derive(Clone, Debug)]
 pub struct Checkpointer {
-    path: PathBuf,
     ns: String,
-    backend: Option<Arc<dyn StorageBackend>>,
+    backend: Arc<dyn StorageBackend>,
     generations: u64,
 }
 
 impl Checkpointer {
-    /// A checkpointer rooted at `path` (e.g. `state/history.ckpt`).
-    pub fn new(path: impl Into<PathBuf>) -> Self {
-        let path = path.into();
-        let ns = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "history.ckpt".to_string());
-        Checkpointer {
-            path,
-            ns,
-            backend: None,
-            generations: 2,
-        }
-    }
-
     /// A checkpointer storing generations in namespace `ns` of a shared
     /// backend (the [`StorageStack`](crate::store::StorageStack) wiring).
     pub fn with_backend(backend: Arc<dyn StorageBackend>, ns: impl Into<String>) -> Self {
-        let ns = ns.into();
         Checkpointer {
-            path: PathBuf::from(&ns),
-            ns,
-            backend: Some(backend),
+            ns: ns.into(),
+            backend,
             generations: 2,
         }
     }
 
     /// Overrides how many generations the backend retains (minimum 1;
-    /// the default 2 is the historical primary + `.bak` pair).
+    /// the default 2 is a primary plus one backup).
     pub fn with_generations(mut self, generations: u64) -> Self {
         self.generations = generations.max(1);
         self
     }
 
-    /// The backend handle serving this checkpointer. The path-based
-    /// constructor opens a fresh [`AppendLogBackend`] per operation so
-    /// files modified behind its back (crash simulations, external
-    /// corruption) are re-discovered, exactly as the direct-fs
-    /// implementation behaved.
-    fn store(&self) -> Result<Arc<dyn StorageBackend>, CheckpointError> {
-        if let Some(b) = &self.backend {
-            return Ok(Arc::clone(b));
-        }
-        let parent = match self.path.parent() {
-            Some(d) if !d.as_os_str().is_empty() => d,
-            _ => Path::new("."),
-        };
-        Ok(Arc::new(AppendLogBackend::new(parent)?))
+    /// Defines the snapshot namespace (idempotently) and returns the
+    /// backend.
+    fn open_ns(&self) -> Result<&Arc<dyn StorageBackend>, CheckpointError> {
+        self.backend
+            .define(&self.ns, NamespaceProfile::snapshot(self.generations))?;
+        Ok(&self.backend)
     }
 
-    /// Opens the namespace and returns the backend, defining the
-    /// snapshot profile idempotently.
-    fn open_ns(&self) -> Result<Arc<dyn StorageBackend>, CheckpointError> {
-        let b = self.store()?;
-        b.define(&self.ns, NamespaceProfile::snapshot(self.generations))?;
-        Ok(b)
-    }
-
-    /// The primary checkpoint path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// The backup generation's path (`<path>.bak`).
-    pub fn backup_path(&self) -> PathBuf {
-        let mut os = self.path.as_os_str().to_os_string();
-        os.push(".bak");
-        PathBuf::from(os)
-    }
-
-    /// The event-journal path (`<path>.journal`) — where a
-    /// [`FlightRecorder`](crate::flight::FlightRecorder) co-located with
-    /// this checkpoint appends its JSONL event stream.
-    pub fn journal_path(&self) -> PathBuf {
-        let mut os = self.path.as_os_str().to_os_string();
-        os.push(".journal");
-        PathBuf::from(os)
-    }
-
-    /// Atomically persists `runs` and the master identity `table` as a
-    /// new checkpoint generation. The backend's snapshot contract does
-    /// the heavy lifting: the payload is staged, fsynced, and renamed
-    /// into place (parent directory fsynced too), the previous
-    /// generation is demoted rather than destroyed, and a crash at any
-    /// point leaves at least one intact generation on disk.
+    /// Persists `runs` and the master identity `table` as a new
+    /// checkpoint generation. The backend's snapshot contract does the
+    /// heavy lifting: the generation is committed (fsynced) before the
+    /// call returns, the previous one is retained as the backup, and a
+    /// crash at any point leaves at least one intact generation.
     ///
     /// The checkpoint carries no stability state, so a restore replays
     /// `runs` to rebuild it; [`Aggregator::checkpoint`](crate::Aggregator::checkpoint)
@@ -273,16 +211,8 @@ impl Checkpointer {
         let payload = serde_json::to_string(doc)
             .map_err(|e| CheckpointError::Corrupt(format!("encode failed: {e}")))?;
         let bytes = format!("{MAGIC} v{VERSION}\n{payload}").into_bytes();
-        let b = self.open_ns()?;
-        b.append(&self.ns, 0, &bytes)?;
+        self.open_ns()?.append(&self.ns, 0, &bytes)?;
         Ok(())
-    }
-
-    /// Parses one raw checkpoint file (used directly by tests that poke
-    /// at a specific generation on disk).
-    #[cfg_attr(not(test), allow(dead_code))]
-    fn load_file(path: &Path) -> Result<CheckpointDoc, CheckpointError> {
-        Self::parse_payload(&fs::read(path)?)
     }
 
     /// Decodes header + payload bytes into a document.
@@ -328,8 +258,8 @@ impl Checkpointer {
         let doc: CheckpointDoc = serde_json::from_str(payload)
             .map_err(|e| CheckpointError::Corrupt(format!("payload rejected: {e}")))?;
         // Integrity: every host a run mentions must be in the table —
-        // a table/runs mismatch means the file was hand-edited or mixed
-        // from different generations.
+        // a table/runs mismatch means the payload was hand-edited or
+        // mixed from different generations.
         for run in &doc.runs {
             for h in run.connsets.hosts() {
                 if doc.table.get(h).is_none() {
@@ -398,13 +328,31 @@ mod tests {
     use super::*;
     use crate::pipeline::{Aggregator, AggregatorConfig, WindowHealth};
     use crate::probe::ReplayProbe;
+    use crate::store::{StorageStack, CHECKPOINT_NS};
     use flow::{FlowRecord, HostAddr};
+    use storage::StorageConfig;
 
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("roleclass-ckpt-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        dir
+    fn memory_stack() -> StorageStack {
+        StorageStack::open(&StorageConfig::memory()).unwrap()
+    }
+
+    /// Appends `bytes` as the newest checkpoint generation, bypassing
+    /// the encoder: how a torn or foreign payload reaches the ladder.
+    fn append_raw(stack: &StorageStack, bytes: &[u8]) {
+        let b = stack.backend();
+        b.define(CHECKPOINT_NS, NamespaceProfile::snapshot(2))
+            .unwrap();
+        b.append(CHECKPOINT_NS, 0, bytes).unwrap();
+    }
+
+    /// The newest generation's raw bytes.
+    fn latest_raw(stack: &StorageStack) -> Vec<u8> {
+        stack
+            .backend()
+            .latest(CHECKPOINT_NS)
+            .unwrap()
+            .expect("a checkpoint generation")
+            .value
     }
 
     fn sample_runs() -> Vec<RunRecord> {
@@ -440,8 +388,8 @@ mod tests {
 
     #[test]
     fn save_load_round_trip() {
-        let dir = temp_dir("round");
-        let ck = Checkpointer::new(dir.join("history.ckpt"));
+        let stack = memory_stack();
+        let ck = stack.checkpointer();
         let runs = sample_runs();
         ck.save_with_table(&runs, &table_of(&runs)).unwrap();
         let back = ck.load_or_recover();
@@ -453,82 +401,79 @@ mod tests {
             back.runs[1].grouping.group_of(HostAddr::v4(1)),
             runs[1].grouping.group_of(HostAddr::v4(1))
         );
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn second_save_keeps_backup_generation() {
-        let dir = temp_dir("backup");
-        let ck = Checkpointer::new(dir.join("history.ckpt"));
+        let stack = memory_stack();
+        let ck = stack.checkpointer();
         let runs = sample_runs();
         ck.save_with_table(&runs[..1], &table_of(&runs[..1]))
             .unwrap();
         ck.save_with_table(&runs, &table_of(&runs)).unwrap();
-        assert!(ck.backup_path().exists());
-        let backup = Checkpointer::load_file(&ck.backup_path()).unwrap();
+        let gens = stack.backend().scan(CHECKPOINT_NS, 0, u64::MAX).unwrap();
+        assert_eq!(gens.len(), 2);
+        let backup = Checkpointer::parse_payload(&gens[0].value).unwrap();
         assert_eq!(backup.runs.len(), 1);
         assert_eq!(ck.load_or_recover().runs.len(), 2);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn truncated_primary_recovers_from_backup() {
-        let dir = temp_dir("trunc");
-        let ck = Checkpointer::new(dir.join("history.ckpt"));
+        let stack = memory_stack();
+        let ck = stack.checkpointer();
         let runs = sample_runs();
+        ck.save_with_table(&runs, &table_of(&runs)).unwrap();
+        let full = latest_raw(&stack);
         ck.save_with_table(&runs[..1], &table_of(&runs[..1]))
             .unwrap();
-        ck.save_with_table(&runs, &table_of(&runs)).unwrap();
-        // Simulate a crash/disk fault: chop the primary mid-payload.
-        let text = fs::read_to_string(ck.path()).unwrap();
-        fs::write(ck.path(), &text[..text.len() / 2]).unwrap();
+        // A newer generation chopped mid-payload becomes the primary.
+        let torn = &full[..full.len() / 2];
         assert!(matches!(
-            Checkpointer::load_file(ck.path()),
+            Checkpointer::parse_payload(torn),
             Err(CheckpointError::Corrupt(_))
         ));
+        append_raw(&stack, torn);
         let rec = ck.load_or_recover();
         assert_eq!(rec.source, RecoverySource::Backup);
         assert_eq!(rec.runs.len(), 1);
         assert!(!rec.notes.is_empty());
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn garbage_and_missing_files_never_panic() {
-        let dir = temp_dir("garbage");
-        let ck = Checkpointer::new(dir.join("history.ckpt"));
+    fn garbage_and_missing_generations_never_panic() {
+        let stack = memory_stack();
+        let ck = stack.checkpointer();
         // Missing: fresh start.
         let rec = ck.load_or_recover();
         assert_eq!(rec.source, RecoverySource::Fresh);
         assert!(rec.runs.is_empty());
         // Garbage bytes in both generations: still a fresh start.
-        fs::write(ck.path(), b"\x00\xffnot a checkpoint").unwrap();
-        fs::write(ck.backup_path(), b"roleclass-checkpoint v1\n{oops").unwrap();
+        append_raw(&stack, b"roleclass-checkpoint v1\n{oops");
+        append_raw(&stack, b"\x00\xffnot a checkpoint");
         let rec = ck.load_or_recover();
         assert_eq!(rec.source, RecoverySource::Fresh);
         assert_eq!(rec.notes.len(), 2);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn future_version_is_rejected_not_misparsed() {
-        let dir = temp_dir("version");
-        let ck = Checkpointer::new(dir.join("history.ckpt"));
-        fs::write(ck.path(), "roleclass-checkpoint v99\n[]").unwrap();
+        let stack = memory_stack();
+        let bytes = b"roleclass-checkpoint v99\n[]";
         assert!(matches!(
-            Checkpointer::load_file(ck.path()),
+            Checkpointer::parse_payload(bytes),
             Err(CheckpointError::BadVersion(99))
         ));
-        let rec = ck.load_or_recover();
+        append_raw(&stack, bytes);
+        let rec = stack.checkpointer().load_or_recover();
         assert_eq!(rec.source, RecoverySource::Fresh);
         assert!(rec.notes.iter().any(|n| n.contains("version 99")));
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn host_table_round_trips_through_checkpoint() {
-        let dir = temp_dir("table");
-        let ck = Checkpointer::new(dir.join("history.ckpt"));
+        let stack = memory_stack();
+        let ck = stack.checkpointer();
         let runs = sample_runs();
         // A live master table may know hosts no retained run mentions.
         let mut master = table_of(&runs);
@@ -542,18 +487,19 @@ mod tests {
         for (id, addr) in master.iter() {
             assert_eq!(back.table.get(addr), Some(id));
         }
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn v1_checkpoints_still_load_with_rebuilt_table() {
-        let dir = temp_dir("v1");
-        let ck = Checkpointer::new(dir.join("history.ckpt"));
+        let stack = memory_stack();
         let runs = sample_runs();
-        // Hand-write a v1 file: bare run array, no table.
+        // A literal v1 payload: bare run array, no table.
         let payload = serde_json::to_string(&runs).unwrap();
-        fs::write(ck.path(), format!("roleclass-checkpoint v1\n{payload}")).unwrap();
-        let back = ck.load_or_recover();
+        append_raw(
+            &stack,
+            format!("roleclass-checkpoint v1\n{payload}").as_bytes(),
+        );
+        let back = stack.checkpointer().load_or_recover();
         assert_eq!(back.source, RecoverySource::Primary);
         assert_eq!(back.runs.len(), runs.len());
         // The rebuilt table covers every host the runs mention, densely.
@@ -562,29 +508,27 @@ mod tests {
         for (id, addr) in expected.iter() {
             assert_eq!(back.table.get(addr), Some(id));
         }
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn table_runs_mismatch_is_corrupt() {
-        let dir = temp_dir("mismatch");
-        let ck = Checkpointer::new(dir.join("history.ckpt"));
+        let stack = memory_stack();
+        let ck = stack.checkpointer();
         let runs = sample_runs();
         // A table that misses hosts the runs mention: rejected.
         let empty = flow::HostTable::new();
         ck.save_with_table(&runs, &empty).unwrap();
         assert!(matches!(
-            Checkpointer::load_file(ck.path()),
+            Checkpointer::parse_payload(&latest_raw(&stack)),
             Err(CheckpointError::Corrupt(_))
         ));
         assert_eq!(ck.load_or_recover().source, RecoverySource::Fresh);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn health_field_round_trips_through_checkpoint() {
-        let dir = temp_dir("health");
-        let ck = Checkpointer::new(dir.join("history.ckpt"));
+        let stack = memory_stack();
+        let ck = stack.checkpointer();
         let mut runs = sample_runs();
         runs[0].health = WindowHealth {
             probes_total: 3,
@@ -600,6 +544,5 @@ mod tests {
         assert!(back[0].health.degraded());
         assert_eq!(back[0].health.records_dropped, 7);
         assert_eq!(back[0].health.errors.len(), 1);
-        let _ = fs::remove_dir_all(&dir);
     }
 }

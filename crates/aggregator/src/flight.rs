@@ -12,10 +12,10 @@
 //! flushed per record, so a crash can only tear the *final* record,
 //! which the backend drops on reopen. Sequence numbers resume from the
 //! newest surviving record, so post-restart events extend the same
-//! sequence. The path-based constructor opens an [`AppendLogBackend`]
-//! whose line format is a superset of the historical bare-JSONL layout:
-//! journals written by older builds are still read (and resumed) in
-//! place.
+//! sequence. The journal lives in the
+//! [`StorageStack`](crate::store::StorageStack)'s `journal` namespace
+//! (`StorageStack::recorder`), next to the checkpoint generations and
+//! the run history it narrates.
 //!
 //! Write errors never propagate into the pipeline — losing a journal
 //! line must not fail a classification cycle — but they are counted
@@ -25,13 +25,10 @@
 //! policy and reports exactly what was dropped.
 
 use std::io;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{SystemTime, UNIX_EPOCH};
-use storage::{
-    decode_line_payload, AppendLogBackend, NamespaceProfile, Pruned, Retention, StorageBackend,
-};
+use storage::{NamespaceProfile, Pruned, Retention, StorageBackend};
 use telemetry::{Event, FieldValue};
 
 /// Appends aggregator events to a durable journal. All methods take
@@ -40,7 +37,6 @@ use telemetry::{Event, FieldValue};
 /// [`Aggregator::checkpoint`](crate::Aggregator::checkpoint).
 #[derive(Debug)]
 pub struct FlightRecorder {
-    path: PathBuf,
     backend: Arc<dyn StorageBackend>,
     ns: String,
     next_seq: AtomicU64,
@@ -48,43 +44,17 @@ pub struct FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// Opens (or creates) the journal at `path` in append mode. Sequence
-    /// numbering resumes after the records already present, so a
-    /// restarted pipeline extends the journal instead of restarting it.
-    pub fn open(path: impl Into<PathBuf>) -> io::Result<FlightRecorder> {
-        let path = path.into();
-        let parent = match path.parent() {
-            Some(d) if !d.as_os_str().is_empty() => d,
-            _ => Path::new("."),
-        };
-        let ns = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "events.journal".to_string());
-        let backend: Arc<dyn StorageBackend> =
-            Arc::new(AppendLogBackend::new(parent).map_err(|e| e.into_io())?);
-        Self::with_backend_at(backend, ns, Retention::unbounded(), path)
-    }
-
     /// A recorder journaling into namespace `ns` of a shared backend,
     /// pruned by `retention` (the [`StorageStack`](crate::store)
-    /// wiring).
+    /// wiring). Sequence numbering resumes after the records already
+    /// present, so a restarted pipeline extends the journal instead of
+    /// restarting it.
     pub fn with_backend(
         backend: Arc<dyn StorageBackend>,
         ns: impl Into<String>,
         retention: Retention,
     ) -> io::Result<FlightRecorder> {
         let ns = ns.into();
-        let path = PathBuf::from(&ns);
-        Self::with_backend_at(backend, ns, retention, path)
-    }
-
-    fn with_backend_at(
-        backend: Arc<dyn StorageBackend>,
-        ns: String,
-        retention: Retention,
-        path: PathBuf,
-    ) -> io::Result<FlightRecorder> {
         backend
             .define(&ns, NamespaceProfile::log(retention))
             .map_err(|e| e.into_io())?;
@@ -93,18 +63,11 @@ impl FlightRecorder {
             .map_err(|e| e.into_io())?
             .map_or(0, |rec| rec.key + 1);
         Ok(FlightRecorder {
-            path,
             backend,
             ns,
             next_seq: AtomicU64::new(next),
             errors: AtomicU64::new(0),
         })
-    }
-
-    /// The journal file path (the namespace name for shared-backend
-    /// recorders).
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Appends one event in the `aggregator` layer. See
@@ -164,138 +127,127 @@ impl FlightRecorder {
     }
 }
 
-/// Reads the complete journal payloads at `path`, one JSON string per
-/// event, skipping a torn final line (the only artifact a crash
-/// mid-append can leave). Both the keyed backend format and legacy
-/// bare-JSONL journals decode; a missing journal reads as empty. This
-/// is a pure read: the file is never modified.
-pub fn read_journal_lines(path: impl AsRef<Path>) -> io::Result<Vec<String>> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(e),
-    };
-    let end = text.rfind('\n').map_or(0, |i| i + 1);
-    Ok(text[..end]
-        .lines()
-        .filter(|l| !l.is_empty())
-        .filter_map(decode_line_payload)
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::{StorageStack, JOURNAL_NS};
     use std::fs;
+    use std::path::PathBuf;
+    use storage::{MemoryBackend, StorageConfig};
 
-    fn temp_journal(tag: &str) -> PathBuf {
+    fn memory_stack() -> StorageStack {
+        StorageStack::open(&StorageConfig::memory()).unwrap()
+    }
+
+    /// A segment-backed stack config over a fresh temp directory.
+    fn segment_config(tag: &str) -> (StorageConfig, PathBuf) {
         let dir =
             std::env::temp_dir().join(format!("roleclass-flight-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        dir.join("events.journal")
+        (StorageConfig::new(dir.to_string_lossy()), dir)
+    }
+
+    fn journal_lines(backend: &dyn StorageBackend) -> Vec<String> {
+        backend
+            .scan(JOURNAL_NS, 0, u64::MAX)
+            .unwrap()
+            .into_iter()
+            .map(|r| String::from_utf8(r.value).unwrap())
+            .collect()
     }
 
     #[test]
     fn appends_sequenced_jsonl() {
-        let path = temp_journal("seq");
-        let fr = FlightRecorder::open(&path).unwrap();
+        let stack = memory_stack();
+        let fr = stack.recorder();
         fr.append(
             "roleclass_aggregator_window_started",
             vec![("window_start_ms", 0u64.into())],
         );
         fr.append("roleclass_aggregator_window_classified", vec![]);
         assert_eq!(fr.write_errors(), 0);
-        let lines = read_journal_lines(&path).unwrap();
+        let lines = journal_lines(stack.backend().as_ref());
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("\"seq\":0"));
         assert!(lines[1].contains("\"seq\":1"));
         assert!(lines[0].contains("\"layer\":\"aggregator\""));
-        let _ = fs::remove_dir_all(path.parent().unwrap());
     }
 
     #[test]
     fn seq_resumes_across_reopen() {
-        let path = temp_journal("resume");
+        let (config, dir) = segment_config("resume");
         {
-            let fr = FlightRecorder::open(&path).unwrap();
-            fr.append("roleclass_aggregator_window_started", vec![]);
-            fr.append("roleclass_aggregator_window_classified", vec![]);
+            let stack = StorageStack::open(&config).unwrap();
+            stack
+                .recorder()
+                .append("roleclass_aggregator_window_started", vec![]);
+            stack
+                .recorder()
+                .append("roleclass_aggregator_window_classified", vec![]);
         }
-        let fr = FlightRecorder::open(&path).unwrap();
-        assert_eq!(fr.next_seq(), 2);
-        fr.append("roleclass_aggregator_window_started", vec![]);
-        let lines = read_journal_lines(&path).unwrap();
+        let stack = StorageStack::open(&config).unwrap();
+        assert_eq!(stack.recorder().next_seq(), 2);
+        stack
+            .recorder()
+            .append("roleclass_aggregator_window_started", vec![]);
+        let lines = journal_lines(stack.backend().as_ref());
         assert_eq!(lines.len(), 3);
         assert!(lines[2].contains("\"seq\":2"));
-        let _ = fs::remove_dir_all(path.parent().unwrap());
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn torn_final_line_is_skipped_and_seq_continues() {
-        let path = temp_journal("torn");
-        {
-            let fr = FlightRecorder::open(&path).unwrap();
-            fr.append("roleclass_aggregator_window_started", vec![]);
-            fr.append("roleclass_aggregator_window_classified", vec![]);
-        }
-        // Simulate a crash mid-append: a partial line with no newline.
-        let mut text = fs::read_to_string(&path).unwrap();
-        text.push_str("k=2 c=00000000 {\"seq\":2,\"ts_ns\":12");
-        fs::write(&path, &text).unwrap();
-        assert_eq!(read_journal_lines(&path).unwrap().len(), 2);
+    fn torn_final_record_is_dropped_and_seq_continues() {
+        let (config, dir) = segment_config("torn");
+        let seg = {
+            let stack = StorageStack::open(&config).unwrap();
+            for _ in 0..3 {
+                stack
+                    .recorder()
+                    .append("roleclass_aggregator_window_started", vec![]);
+            }
+            fs::read_dir(dir.join(JOURNAL_NS))
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .filter(|p| p.extension().is_some_and(|x| x == "seg"))
+                .max()
+                .unwrap()
+        };
+        // Simulate a crash mid-append: the third record loses its tail.
+        let len = fs::metadata(&seg).unwrap().len();
+        let f = fs::OpenOptions::new().write(true).open(&seg).unwrap();
+        f.set_len(len - 5).unwrap();
+        drop(f);
         // Reopening resumes from the complete records only.
-        let fr = FlightRecorder::open(&path).unwrap();
-        assert_eq!(fr.next_seq(), 2);
-        let _ = fs::remove_dir_all(path.parent().unwrap());
-    }
-
-    #[test]
-    fn legacy_bare_jsonl_journal_resumes_in_place() {
-        let path = temp_journal("legacy");
-        // A journal written by a pre-storage build: bare JSON lines.
-        fs::write(
-            &path,
-            "{\"ts_ns\":1,\"seq\":0,\"layer\":\"aggregator\",\"name\":\"a\"}\n\
-             {\"ts_ns\":2,\"seq\":1,\"layer\":\"aggregator\",\"name\":\"b\"}\n",
-        )
-        .unwrap();
-        let fr = FlightRecorder::open(&path).unwrap();
-        assert_eq!(fr.next_seq(), 2);
-        fr.append("roleclass_aggregator_window_started", vec![]);
-        let lines = read_journal_lines(&path).unwrap();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].contains("\"name\":\"a\""));
-        assert!(lines[2].contains("\"seq\":2"));
-        let _ = fs::remove_dir_all(path.parent().unwrap());
+        let stack = StorageStack::open(&config).unwrap();
+        assert_eq!(journal_lines(stack.backend().as_ref()).len(), 2);
+        assert_eq!(stack.recorder().next_seq(), 2);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn layers_share_one_sequence() {
-        let path = temp_journal("layers");
-        let fr = FlightRecorder::open(&path).unwrap();
+        let stack = memory_stack();
+        let fr = stack.recorder();
         fr.append("roleclass_aggregator_window_started", vec![]);
         fr.append_in_layer(
             "transport",
             "roleclass_transport_probe_session_opened",
             vec![("session", 1u64.into())],
         );
-        let lines = read_journal_lines(&path).unwrap();
+        let lines = journal_lines(stack.backend().as_ref());
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("\"layer\":\"aggregator\""));
         assert!(lines[1].contains("\"layer\":\"transport\""));
         assert!(lines[1].contains("\"seq\":1"));
-        let _ = fs::remove_dir_all(path.parent().unwrap());
     }
 
     #[test]
     fn prune_bounds_journal_growth() {
-        let path = temp_journal("prune");
-        let backend: Arc<dyn StorageBackend> =
-            Arc::new(AppendLogBackend::new(path.parent().unwrap()).unwrap());
+        let backend: Arc<dyn StorageBackend> = Arc::new(MemoryBackend::new());
         let fr = FlightRecorder::with_backend(
-            backend,
-            "events.journal",
+            Arc::clone(&backend),
+            JOURNAL_NS,
             Retention::unbounded().keep_records(3),
         )
         .unwrap();
@@ -305,18 +257,10 @@ mod tests {
         let pruned = fr.prune().unwrap();
         assert_eq!(pruned.records, 5);
         assert!(pruned.bytes > 0);
-        let lines = read_journal_lines(&path).unwrap();
+        let lines = journal_lines(backend.as_ref());
         assert_eq!(lines.len(), 3);
         // The newest events survive, and the sequence keeps climbing.
         assert!(lines[2].contains("\"seq\":7"));
         assert_eq!(fr.next_seq(), 8);
-        let _ = fs::remove_dir_all(path.parent().unwrap());
-    }
-
-    #[test]
-    fn missing_journal_reads_empty() {
-        let path = temp_journal("missing");
-        assert!(read_journal_lines(path.join("nope")).unwrap().is_empty());
-        let _ = fs::remove_dir_all(path.parent().unwrap());
     }
 }

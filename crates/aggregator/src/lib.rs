@@ -50,7 +50,7 @@ pub use alerts::{
     ChurnPolicy, NewNeighborDetector, Severity,
 };
 pub use checkpoint::{CheckpointError, Checkpointer, Recovery, RecoverySource, StabilityResume};
-pub use flight::{read_journal_lines, FlightRecorder};
+pub use flight::FlightRecorder;
 pub use labels::LabelStore;
 pub use pipeline::{
     Aggregator, AggregatorConfig, RunRecord, WindowHealth, AGGREGATOR_EVENT_NAMES,

@@ -368,24 +368,11 @@ impl Aggregator {
         self.recorder.as_ref()
     }
 
-    /// Attaches a durable flight recorder (builder style). Every event
-    /// the aggregator emits is also appended to its JSONL journal, so
-    /// the decision trail survives a crash; conventionally opened at
-    /// [`Checkpointer::journal_path`] so journal and checkpoint live
-    /// side by side.
-    pub fn with_flight_recorder(mut self, flight: FlightRecorder) -> Self {
-        self.set_flight_recorder(Some(flight));
-        self
-    }
-
-    /// Attaches or detaches the durable flight recorder.
-    pub fn set_flight_recorder(&mut self, flight: Option<FlightRecorder>) {
-        self.flight = flight.map(Arc::new);
-    }
-
-    /// Attaches an already-shared flight recorder (builder style), so
-    /// the aggregator and a wire listener journal into one file with a
-    /// single sequence.
+    /// Attaches a durable flight recorder (builder style), normally the
+    /// [`StorageStack`](crate::store::StorageStack)'s. Every event the
+    /// aggregator emits is also appended to its journal, so the
+    /// decision trail survives a crash. The handle is shared, so the
+    /// aggregator and a wire listener journal with a single sequence.
     pub fn with_shared_flight_recorder(mut self, flight: Arc<FlightRecorder>) -> Self {
         self.flight = Some(flight);
         self
@@ -991,9 +978,9 @@ impl Aggregator {
         runs
     }
 
-    /// Persists what a restart needs through `ck` (atomic
-    /// write-then-rename; the previous checkpoint survives as the
-    /// backup generation): the master identity table, the last run, and
+    /// Persists what a restart needs through `ck` (one committed
+    /// snapshot generation; the previous one is retained as the
+    /// backup): the master identity table, the last run, and
     /// the stability tracker's state with the RoleChurn latch. Its size
     /// does not grow with uptime; past windows live in the [`RunStore`].
     pub fn checkpoint(&self, ck: &Checkpointer) -> Result<(), CheckpointError> {
@@ -1152,6 +1139,7 @@ impl Aggregator {
 mod tests {
     use super::*;
     use crate::probe::{ProbeError, ReplayProbe};
+    use crate::store::{StorageStack, JOURNAL_NS};
     use flow::HostAddr;
 
     fn h(x: u32) -> HostAddr {
@@ -1443,25 +1431,38 @@ mod tests {
         }
     }
 
+    fn memory_stack() -> StorageStack {
+        StorageStack::open(&storage::StorageConfig::memory()).unwrap()
+    }
+
+    fn journal_lines(stack: &StorageStack) -> Vec<String> {
+        stack
+            .backend()
+            .scan(JOURNAL_NS, 0, u64::MAX)
+            .unwrap()
+            .into_iter()
+            .map(|r| String::from_utf8(r.value).unwrap())
+            .collect()
+    }
+
     #[test]
     fn cycle_events_are_declared_and_dual_journaled() {
-        use crate::flight::read_journal_lines;
         use serde::value::Value;
         use std::fs;
 
         let dir = std::env::temp_dir().join(format!("roleclass-agg-events-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        let ck = Checkpointer::new(dir.join("history.ckpt"));
+        let config_on_disk = storage::StorageConfig::new(dir.to_string_lossy());
+        let stack = StorageStack::open(&config_on_disk).unwrap();
 
         let rec = Arc::new(telemetry::Recorder::new());
         let mut agg = Aggregator::new(config())
             .with_recorder(Arc::clone(&rec))
-            .with_flight_recorder(FlightRecorder::open(ck.journal_path()).unwrap());
+            .with_shared_flight_recorder(Arc::clone(stack.recorder()));
         agg.attach(Box::new(ReplayProbe::new("good", day_trace(0, 3))));
         agg.attach(Box::new(DownProbe));
         agg.run_cycle();
-        agg.checkpoint(&ck).unwrap();
+        agg.checkpoint(stack.checkpointer()).unwrap();
 
         // The shared journal carries engine-layer decision events too;
         // the aggregator's own events are the `aggregator` layer, the
@@ -1491,8 +1492,8 @@ mod tests {
         assert!(names.contains(&"roleclass_stability_window_scored"));
 
         // The durable journal carries the same events, as parseable
-        // JSONL, alongside the checkpoint.
-        let lines = read_journal_lines(ck.journal_path()).unwrap();
+        // JSON, alongside the checkpoint.
+        let lines = journal_lines(&stack);
         assert_eq!(lines.len(), events.len());
         for (line, ev) in lines.iter().zip(&events) {
             let v: Value = serde_json::from_str(line).unwrap();
@@ -1501,13 +1502,16 @@ mod tests {
         }
         assert_eq!(agg.flight_recorder().unwrap().write_errors(), 0);
 
-        // A restarted aggregator reopens the journal and extends it;
-        // the restore itself is journaled.
-        let mut fresh = Aggregator::new(config())
-            .with_flight_recorder(FlightRecorder::open(ck.journal_path()).unwrap());
-        let recovery = fresh.restore_from(&ck);
+        // A restarted aggregator reopens the stack and extends the
+        // journal; the restore itself is journaled.
+        drop(agg);
+        drop(stack);
+        let stack = StorageStack::open(&config_on_disk).unwrap();
+        let mut fresh =
+            Aggregator::new(config()).with_shared_flight_recorder(Arc::clone(stack.recorder()));
+        let recovery = fresh.restore_from(stack.checkpointer());
         assert_eq!(recovery.source, RecoverySource::Primary);
-        let lines = read_journal_lines(ck.journal_path()).unwrap();
+        let lines = journal_lines(&stack);
         assert_eq!(lines.len(), events.len() + 1);
         let last: Value = serde_json::from_str(lines.last().unwrap()).unwrap();
         assert_eq!(
@@ -1557,24 +1561,19 @@ mod tests {
 
     #[test]
     fn host_ids_survive_checkpoint_restore() {
-        use crate::checkpoint::Checkpointer;
-        use std::fs;
-
-        let dir = std::env::temp_dir().join(format!("roleclass-agg-ids-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        let ck = Checkpointer::new(dir.join("history.ckpt"));
+        let stack = memory_stack();
+        let ck = stack.checkpointer();
 
         let mut agg = Aggregator::new(config());
         let trace: Vec<FlowRecord> = day_trace(0, 3).into_iter().chain(day_trace(1, 3)).collect();
         agg.attach(Box::new(ReplayProbe::new("p0", trace)));
         agg.drain();
-        agg.checkpoint(&ck).unwrap();
+        agg.checkpoint(ck).unwrap();
         let ids_before: Vec<_> = agg.host_table().iter().collect();
 
         let mut fresh = Aggregator::new(config());
         fresh.attach(Box::new(ReplayProbe::new("p0", day_trace(2, 3))));
-        let recovery = fresh.restore_from(&ck);
+        let recovery = fresh.restore_from(ck);
         assert_eq!(recovery.source, RecoverySource::Primary);
         // The restored table is the persisted one, verbatim.
         for &(id, addr) in &ids_before {
@@ -1585,7 +1584,6 @@ mod tests {
         for (id, addr) in ids_before {
             assert_eq!(fresh.host_table().get(addr), Some(id));
         }
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1625,13 +1623,8 @@ mod tests {
 
     #[test]
     fn restore_without_resume_state_replays_silently() {
-        use crate::checkpoint::Checkpointer;
-        use std::fs;
-
-        let dir = std::env::temp_dir().join(format!("roleclass-agg-replay-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        let ck = Checkpointer::new(dir.join("history.ckpt"));
+        let stack = memory_stack();
+        let ck = stack.checkpointer();
 
         let mut agg = Aggregator::new(config());
         let trace: Vec<FlowRecord> = (0..3).flat_map(|d| day_trace(d, 3)).collect();
@@ -1642,7 +1635,7 @@ mod tests {
         ck.save_with_table(&runs, agg.host_table()).unwrap();
 
         let mut agg2 = Aggregator::new(config());
-        let recovery = agg2.restore_from(&ck);
+        let recovery = agg2.restore_from(ck);
         assert_eq!(recovery.runs.len(), 3);
         assert!(recovery.stability.is_none());
         // The replayed tracker matches the live one, the replay queued no
@@ -1654,34 +1647,30 @@ mod tests {
         );
         assert!(agg2.pending_alerts().is_empty());
         assert!(agg2.stability_history().is_empty());
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn restore_fallback_is_counted_and_alerted() {
         use crate::alerts::{AlertKind, Severity};
-        use crate::checkpoint::Checkpointer;
-        use std::fs;
+        use crate::store::CHECKPOINT_NS;
 
-        let dir =
-            std::env::temp_dir().join(format!("roleclass-agg-restore-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        let ck = Checkpointer::new(dir.join("history.ckpt"));
-
+        let stack = memory_stack();
+        let ck = stack.checkpointer();
         let mut agg = Aggregator::new(config());
         agg.attach(Box::new(ReplayProbe::new("p0", day_trace(0, 3))));
         agg.run_cycle();
-        agg.checkpoint(&ck).unwrap();
+        agg.checkpoint(ck).unwrap();
         agg.run_cycle();
-        agg.checkpoint(&ck).unwrap();
-        // Chop the primary mid-payload: recovery must fall back.
-        let text = fs::read_to_string(ck.path()).unwrap();
-        fs::write(ck.path(), &text[..text.len() / 2]).unwrap();
+        agg.checkpoint(ck).unwrap();
+        // A copy of the primary chopped mid-payload becomes the newest
+        // generation: recovery must fall back.
+        let primary = stack.backend().latest(CHECKPOINT_NS).unwrap().unwrap();
+        let torn = &primary.value[..primary.value.len() / 2];
+        stack.backend().append(CHECKPOINT_NS, 0, torn).unwrap();
 
         let rec = Arc::new(telemetry::Recorder::new());
         let mut fresh = Aggregator::new(config()).with_recorder(Arc::clone(&rec));
-        let recovery = fresh.restore_from(&ck);
+        let recovery = fresh.restore_from(ck);
         assert_eq!(recovery.source, RecoverySource::Backup);
 
         let reg = rec.registry();
@@ -1703,6 +1692,5 @@ mod tests {
         ));
         // The queue drains exactly once.
         assert!(fresh.pending_alerts().is_empty());
-        let _ = fs::remove_dir_all(&dir);
     }
 }

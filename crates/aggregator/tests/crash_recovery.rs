@@ -1,16 +1,19 @@
 //! Crash-safe checkpointing: a restarted aggregator resumes correlation
-//! with stable group ids, even when the primary checkpoint was corrupted
-//! mid-crash.
+//! with stable group ids, even when the newest checkpoint generation
+//! was torn or corrupted mid-crash.
+//!
+//! A "process" here is one `StorageStack::open` of a segment store in a
+//! temp directory; a restart drops the stack and opens it again.
 
 use aggregator::store::CHECKPOINT_NS;
 use aggregator::{
-    Aggregator, AggregatorConfig, Alert, AlertKind, Checkpointer, RecoverySource, ReplayProbe,
-    RunRecord, StorageStack, SupervisorConfig,
+    Aggregator, AggregatorConfig, Alert, AlertKind, RecoverySource, ReplayProbe, RunRecord,
+    StorageStack, SupervisorConfig,
 };
 use flow::{FlowRecord, HostAddr, TimeWindow};
 use roleclass::{EngineConfig, Params};
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use storage::StorageConfig;
 
 const WINDOW_MS: u64 = 1000;
@@ -117,17 +120,43 @@ fn config() -> AggregatorConfig {
     }
 }
 
-fn temp_dir(tag: &str) -> PathBuf {
+/// A segment store over a fresh temp directory.
+fn state_dir(tag: &str) -> (StorageConfig, PathBuf) {
     let dir = std::env::temp_dir().join(format!("roleclass-crash-{tag}-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).unwrap();
-    dir
+    (StorageConfig::new(dir.to_string_lossy()), dir)
+}
+
+fn open(config: &StorageConfig) -> StorageStack {
+    StorageStack::open(config).unwrap()
+}
+
+/// One process that appends `generations` verbatim to the checkpoint
+/// namespace: how foreign or damaged payloads reach the ladder.
+fn append_generations(config: &StorageConfig, generations: &[&[u8]]) {
+    let stack = open(config);
+    let b = stack.backend();
+    b.define(CHECKPOINT_NS, config.checkpoint_profile())
+        .unwrap();
+    for g in generations {
+        b.append(CHECKPOINT_NS, 0, g).unwrap();
+    }
+}
+
+/// The newest segment file of the checkpoint namespace.
+fn checkpoint_segment(dir: &Path) -> PathBuf {
+    fs::read_dir(dir.join(CHECKPOINT_NS))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "seg"))
+        .max()
+        .expect("a checkpoint segment")
 }
 
 #[test]
 fn restart_resumes_correlation_with_stable_ids() {
-    let dir = temp_dir("resume");
-    let ck = Checkpointer::new(dir.join("history.ckpt"));
+    let (store, dir) = state_dir("resume");
+    let stack = open(&store);
 
     // First process: two windows, checkpoint after each run (as a
     // deployment would).
@@ -135,16 +164,19 @@ fn restart_resumes_correlation_with_stable_ids() {
     let trace: Vec<FlowRecord> = (0..2).flat_map(window_trace).collect();
     agg.attach(Box::new(ReplayProbe::new("p0", trace)));
     agg.run_cycle();
-    agg.checkpoint(&ck).unwrap();
+    agg.checkpoint(stack.checkpointer()).unwrap();
     agg.run_cycle();
-    agg.checkpoint(&ck).unwrap();
+    agg.checkpoint(stack.checkpointer()).unwrap();
     let before = agg.current_grouping().unwrap();
 
-    // "Crash": drop the aggregator. Restart from the checkpoint.
+    // "Crash": drop the aggregator and its stack. Restart from the
+    // checkpoint.
     drop(agg);
+    drop(stack);
+    let stack = open(&store);
     let mut agg2 = Aggregator::new(config());
     agg2.attach(Box::new(ReplayProbe::new("p0", window_trace(2))));
-    let recovery = agg2.restore_from(&ck);
+    let recovery = agg2.restore_from(stack.checkpointer());
     assert_eq!(recovery.source, RecoverySource::Primary);
     assert!(recovery.notes.is_empty());
     // The restored anchor is the last checkpointed window.
@@ -169,28 +201,42 @@ fn restart_resumes_correlation_with_stable_ids() {
 
 #[test]
 fn truncated_checkpoint_recovers_to_last_good_state() {
-    let dir = temp_dir("truncated");
-    let ck = Checkpointer::new(dir.join("history.ckpt"));
+    let (store, dir) = state_dir("truncated");
+    let stack = open(&store);
 
     let mut agg = Aggregator::new(config());
     let trace: Vec<FlowRecord> = (0..2).flat_map(window_trace).collect();
     agg.attach(Box::new(ReplayProbe::new("p0", trace)));
     agg.run_cycle();
-    agg.checkpoint(&ck).unwrap();
+    agg.checkpoint(stack.checkpointer()).unwrap();
+    let seg = checkpoint_segment(&dir);
+    let first_len = fs::metadata(&seg).unwrap().len();
     let after_first = agg.current_grouping().unwrap();
     agg.run_cycle();
-    agg.checkpoint(&ck).unwrap();
+    agg.checkpoint(stack.checkpointer()).unwrap();
+    assert_eq!(
+        checkpoint_segment(&dir),
+        seg,
+        "both generations share a segment"
+    );
+    let full_len = fs::metadata(&seg).unwrap().len();
+    drop(agg);
+    drop(stack);
 
-    // Crash mid-write (or disk fault): the primary is truncated, the
-    // previous generation survives as the backup.
-    let text = fs::read_to_string(ck.path()).unwrap();
-    fs::write(ck.path(), &text[..text.len() * 2 / 3]).unwrap();
+    // Crash mid-write: the newest generation loses its last third.
+    // Reopening drops the torn record, so the generation before it is
+    // served as the primary.
+    let f = fs::OpenOptions::new().write(true).open(&seg).unwrap();
+    f.set_len(first_len + (full_len - first_len) * 2 / 3)
+        .unwrap();
+    drop(f);
 
+    let stack = open(&store);
     let mut agg2 = Aggregator::new(config());
     agg2.attach(Box::new(ReplayProbe::new("p0", window_trace(1))));
-    let recovery = agg2.restore_from(&ck);
-    assert_eq!(recovery.source, RecoverySource::Backup);
-    assert!(recovery.notes.iter().any(|n| n.contains("primary")));
+    let recovery = agg2.restore_from(stack.checkpointer());
+    assert_eq!(recovery.source, RecoverySource::Primary);
+    assert!(recovery.notes.is_empty());
     // Last good state = the checkpoint taken after the first window.
     let anchor = recovery.runs.last().expect("an anchor run");
     assert_eq!(anchor.window, TimeWindow::new(0, WINDOW_MS));
@@ -212,16 +258,58 @@ fn truncated_checkpoint_recovers_to_last_good_state() {
 }
 
 #[test]
-fn total_corruption_falls_back_to_fresh_start() {
-    let dir = temp_dir("fresh");
-    let ck = Checkpointer::new(dir.join("history.ckpt"));
-    // Both generations are garbage.
-    fs::write(ck.path(), b"\x7f\x45\x4c\x46 definitely not json").unwrap();
-    fs::write(ck.backup_path(), b"roleclass-checkpoint v1\n[{\"window\"").unwrap();
+fn interior_corruption_is_reported_not_misread() {
+    let (store, dir) = state_dir("interior");
+    let stack = open(&store);
+    let mut agg = Aggregator::new(config());
+    let trace: Vec<FlowRecord> = (0..2).flat_map(window_trace).collect();
+    agg.attach(Box::new(ReplayProbe::new("p0", trace)));
+    agg.run_cycle();
+    agg.checkpoint(stack.checkpointer()).unwrap();
+    agg.run_cycle();
+    agg.checkpoint(stack.checkpointer()).unwrap();
+    drop(stack);
 
+    // Bit rot inside the older generation, with the newer one intact
+    // after it: not a torn tail, so the store must not truncate the
+    // file back to before it and serve nothing.
+    let seg = checkpoint_segment(&dir);
+    let mut bytes = fs::read(&seg).unwrap();
+    bytes[8 + 16 + 40] ^= 0x20;
+    fs::write(&seg, &bytes).unwrap();
+
+    let stack = open(&store);
+    let mut agg2 = Aggregator::new(config());
+    let recovery = agg2.restore_from(stack.checkpointer());
+    assert_eq!(recovery.source, RecoverySource::Fresh);
+    assert!(
+        recovery.notes.iter().any(|n| n.contains("unreadable")),
+        "{:?}",
+        recovery.notes
+    );
+    // Later checkpoints keep failing loudly; the file is left as found.
+    assert!(agg.checkpoint(stack.checkpointer()).is_err());
+    assert_eq!(fs::read(&seg).unwrap(), bytes);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn total_corruption_falls_back_to_fresh_start() {
+    let (store, dir) = state_dir("fresh");
+    // Both generations are garbage (checksum-valid records whose
+    // payloads are no checkpoint).
+    append_generations(
+        &store,
+        &[
+            b"roleclass-checkpoint v1\n[{\"window\"",
+            b"\x7f\x45\x4c\x46 definitely not json",
+        ],
+    );
+
+    let stack = open(&store);
     let mut agg = Aggregator::new(config());
     agg.attach(Box::new(ReplayProbe::new("p0", window_trace(0))));
-    let recovery = agg.restore_from(&ck);
+    let recovery = agg.restore_from(stack.checkpointer());
     assert_eq!(recovery.source, RecoverySource::Fresh);
     assert_eq!(recovery.notes.len(), 2);
     assert!(recovery.runs.is_empty());
@@ -242,21 +330,23 @@ const N: u64 = 8;
 
 #[test]
 fn restore_continues_exactly_like_the_uninterrupted_run() {
-    let dir = temp_dir("equivalence");
-    let ck = Checkpointer::new(dir.join("history.ckpt"));
+    let (store, dir) = state_dir("equivalence");
+    let stack = open(&store);
 
     let mut a = Aggregator::new(config());
     a.attach(Box::new(ReplayProbe::new("p0", churn_trace(N))));
     for _ in 0..=K {
         a.run_cycle();
     }
-    a.checkpoint(&ck).unwrap();
+    a.checkpoint(stack.checkpointer()).unwrap();
+    drop(stack);
     // The collapse episode opened at window K, before the checkpoint.
     assert_eq!(role_churn_windows(&a.take_alerts()), [K * WINDOW_MS]);
 
+    let stack = open(&store);
     let mut b = Aggregator::new(config());
     b.attach(Box::new(ReplayProbe::new("p0", churn_trace(N))));
-    let recovery = b.restore_from(&ck);
+    let recovery = b.restore_from(stack.checkpointer());
     assert_eq!(recovery.source, RecoverySource::Primary);
     assert_eq!(recovery.runs.len(), 1, "v3 anchors on the last run only");
     assert!(recovery.stability.is_some());
@@ -276,25 +366,25 @@ fn restore_continues_exactly_like_the_uninterrupted_run() {
 
 #[test]
 fn literal_v2_checkpoint_still_restores() {
-    let dir = temp_dir("v2");
-    let ck = Checkpointer::new(dir.join("history.ckpt"));
+    let (store, dir) = state_dir("v2");
 
     let mut a = Aggregator::new(config());
     a.attach(Box::new(ReplayProbe::new("p0", churn_trace(N))));
     let runs: Vec<RunRecord> = (0..=K).map(|_| a.run_cycle()).collect();
     assert_eq!(role_churn_windows(&a.take_alerts()), [K * WINDOW_MS]);
-    // A v2 file as earlier releases wrote it: the identity table and
+    // A v2 payload as earlier releases wrote it: the identity table and
     // every run, with no stability state.
     let payload = format!(
         "roleclass-checkpoint v2\n{{\"table\":{},\"runs\":{}}}",
         serde_json::to_string(a.host_table()).unwrap(),
         serde_json::to_string(&runs).unwrap()
     );
-    fs::write(ck.path(), payload).unwrap();
+    append_generations(&store, &[payload.as_bytes()]);
 
+    let stack = open(&store);
     let mut b = Aggregator::new(config());
     b.attach(Box::new(ReplayProbe::new("p0", churn_trace(N))));
-    let recovery = b.restore_from(&ck);
+    let recovery = b.restore_from(stack.checkpointer());
     assert_eq!(recovery.source, RecoverySource::Primary);
     assert!(recovery.notes.is_empty());
     assert_eq!(recovery.runs.len(), runs.len());

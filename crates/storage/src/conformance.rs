@@ -1,8 +1,8 @@
 //! The shared backend conformance suite.
 //!
 //! Every [`StorageBackend`] must pass the same observable-behavior
-//! checks; `crates/storage/tests/conformance.rs` runs them against all
-//! three backends, and out-of-tree backends can reuse the suite the
+//! checks; `crates/storage/tests/conformance.rs` runs them against
+//! both in-tree backends, and out-of-tree backends can reuse the suite the
 //! same way. A [`Fixture`] describes how to (re)open one backend over
 //! one root; reopening through the fixture is the suite's stand-in for
 //! a process restart (the memory backend shares state between handles,
@@ -19,8 +19,8 @@
 //!   drop a suffix record, or prune the namespace empty.
 
 use crate::{
-    AppendLogBackend, BatchEntry, MemoryBackend, NamespaceProfile, Record, Retention,
-    SegmentBackend, SegmentOptions, StorageBackend, StorageError,
+    BatchEntry, MemoryBackend, NamespaceProfile, Record, Retention, SegmentBackend, SegmentOptions,
+    StorageBackend, StorageError,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -78,25 +78,16 @@ pub fn small_segment_options() -> SegmentOptions {
     }
 }
 
-/// The three in-tree backends, each rooted under `base`.
+/// The in-tree backends, each rooted under `base`.
 pub fn fixtures(base: &Path) -> Vec<Fixture> {
     let shared = MemoryBackend::new();
-    let log_root = base.join("appendlog");
     let seg_root = base.join("segment");
-    let log_tear = log_root.clone();
     let seg_tear = seg_root.clone();
     vec![
         Fixture {
             name: "memory",
             opener: Box::new(move || Arc::new(shared.clone())),
             tear_tail: None,
-        },
-        Fixture {
-            name: "appendlog",
-            opener: Box::new(move || {
-                Arc::new(AppendLogBackend::new(&log_root).expect("open appendlog"))
-            }),
-            tear_tail: Some(Box::new(move |ns| truncate_file(&log_tear.join(ns), 2))),
         },
         Fixture {
             name: "segment",
@@ -309,8 +300,8 @@ pub fn snapshot_generations_are_ordered_and_capped(fix: &Fixture) {
     );
 }
 
-/// Generation order and values survive reopen; key numerals need not
-/// (the append-log backend renumbers from file positions).
+/// Generation order and values survive reopen; key numerals are not
+/// part of the contract.
 pub fn snapshot_state_survives_reopen(fix: &Fixture) {
     {
         let b = fix.open();

@@ -1,10 +1,9 @@
 //! Pluggable storage for the role-classification history plane.
 //!
 //! Checkpoints, the flight-recorder journal, and per-window run history
-//! were flat files bolted beside each other; this crate formalizes them
-//! as *keyed record namespaces* behind one [`StorageBackend`] trait so
-//! the same call sites can run over an ephemeral map, today's
-//! append-log files, or indexed segments with compaction and retention.
+//! are *keyed record namespaces* behind one [`StorageBackend`] trait,
+//! so the same call sites run over an ephemeral map or over indexed
+//! segments with compaction and retention.
 //!
 //! # Data model
 //!
@@ -20,11 +19,9 @@
 //! * **Snapshot** namespaces are generation stacks (checkpoint
 //!   primary/backup). The backend assigns each generation the next key
 //!   itself and [`StorageBackend::append`] returns it; the durable
-//!   contract is *ordering and values*, not key numerals — the
-//!   append-log backend stores generations as today's
-//!   `file` / `file.bak` pair, which persists order but not numbers.
-//!   The generation cap in the profile's retention is applied on every
-//!   append (the demotion that used to be hand-rolled rename calls).
+//!   contract is *ordering and values*, not key numerals. The
+//!   generation cap in the profile's retention is applied on every
+//!   append.
 //!
 //! # Durability contract
 //!
@@ -33,43 +30,38 @@
 //!   crash can tear at most the final record, which readers drop; an OS
 //!   crash may lose recently appended records.
 //! * `append` on a **snapshot** namespace is *committed*: the new
-//!   generation is written to the side, fsynced, renamed into place,
-//!   and the parent directory is fsynced, so a crash at any point
-//!   leaves the previous generation intact and a completed append
-//!   survives power loss. (The directory fsync is the fix for the old
-//!   write-then-rename path, which synced the file but never the
-//!   directory entry.)
-//! * [`StorageBackend::flush`] hardens everything: open log files and
+//!   generation is written and fsynced before the call returns, so a
+//!   crash at any point leaves the previous generation intact and a
+//!   completed append survives power loss.
+//! * [`StorageBackend::flush`] hardens everything: open files and
 //!   their directories are fsynced.
 //! * [`StorageBackend::commit`] applies a batch in order with each
 //!   entry atomic; a crash mid-batch leaves a durable *prefix*, never
 //!   an interleaving or a torn record.
+//! * A record that fails validation anywhere but at the very end of
+//!   the newest file is corruption, not a torn append: opening the
+//!   namespace reports [`StorageError::Corrupt`] instead of serving a
+//!   silently shortened history.
 //!
 //! # Backends
 //!
 //! * [`MemoryBackend`] — an in-process map; clones share state, so
 //!   "reopen" in tests is just another handle.
-//! * [`AppendLogBackend`] — today's on-disk behavior formalized:
-//!   write-then-rename generations for snapshots, a per-append-flushed
-//!   line file for logs (legacy bare-JSONL journals are still read,
-//!   with keys synthesized by line position).
 //! * [`SegmentBackend`] — append-only segment files with a sparse
 //!   in-segment index, background-free compaction of old segments, and
 //!   retention by record count / bytes / minimum key.
 
-mod appendlog;
 pub mod conformance;
 mod memory;
 mod segment;
 
-pub use appendlog::{decode_line_payload, AppendLogBackend};
 pub use memory::MemoryBackend;
 pub use segment::{SegmentBackend, SegmentOptions};
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 /// Metric names the storage layer increments on the pipeline recorder.
@@ -298,7 +290,7 @@ impl Pruned {
 /// internally synchronized) so one `Arc<dyn StorageBackend>` can be
 /// shared by the checkpointer, the flight recorder, and the run store.
 pub trait StorageBackend: Send + Sync + fmt::Debug {
-    /// Stable backend name (`memory` / `appendlog` / `segment`), used
+    /// Stable backend name (`memory` / `segment`), used
     /// in telemetry labels and bench rows.
     fn name(&self) -> &'static str;
 
@@ -356,7 +348,7 @@ pub(crate) fn validate_ns(ns: &str) -> Result<()> {
     }
 }
 
-/// FNV-1a over `bytes`, the per-record checksum both file backends use.
+/// FNV-1a over `bytes`, the segment backend's per-record checksum.
 pub(crate) fn fnv1a(bytes: &[u8]) -> u32 {
     let mut h: u32 = 0x811c9dc5;
     for &b in bytes {
@@ -381,7 +373,6 @@ pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum BackendKind {
     Memory,
-    AppendLog,
     Segment,
 }
 
@@ -390,7 +381,6 @@ impl BackendKind {
     pub fn as_str(self) -> &'static str {
         match self {
             BackendKind::Memory => "memory",
-            BackendKind::AppendLog => "appendlog",
             BackendKind::Segment => "segment",
         }
     }
@@ -399,7 +389,6 @@ impl BackendKind {
     pub fn parse(s: &str) -> Option<BackendKind> {
         match s {
             "memory" => Some(BackendKind::Memory),
-            "appendlog" | "append-log" | "log" => Some(BackendKind::AppendLog),
             "segment" | "segments" => Some(BackendKind::Segment),
             _ => None,
         }
@@ -414,7 +403,7 @@ impl BackendKind {
 pub struct StorageConfig {
     /// Backend implementation.
     pub backend: BackendKind,
-    /// Root directory for the file backends (ignored by `memory`).
+    /// Root directory of the segment backend (ignored by `memory`).
     pub root: String,
     /// Flight-journal retention: newest records kept.
     pub journal_keep_records: Option<u64>,
@@ -497,13 +486,12 @@ impl StorageConfig {
         NamespaceProfile::snapshot(self.checkpoint_generations.max(1))
     }
 
-    /// Opens the configured backend. File backends create `root`.
+    /// Opens the configured backend. The segment backend creates
+    /// `root`.
     pub fn open(&self) -> Result<Arc<dyn StorageBackend>> {
-        let root = PathBuf::from(&self.root);
         Ok(match self.backend {
             BackendKind::Memory => Arc::new(MemoryBackend::new()),
-            BackendKind::AppendLog => Arc::new(AppendLogBackend::new(root)?),
-            BackendKind::Segment => Arc::new(SegmentBackend::new(root)?),
+            BackendKind::Segment => Arc::new(SegmentBackend::new(&self.root)?),
         })
     }
 }
@@ -550,7 +538,7 @@ mod tests {
     #[test]
     fn storage_config_round_trips_and_parses() {
         let cfg = StorageConfig::new("/tmp/state")
-            .with_backend(BackendKind::AppendLog)
+            .with_backend(BackendKind::Memory)
             .with_journal_retention(Some(10), Some(1 << 20))
             .with_history_retention(None, Some(4096))
             .with_checkpoint_generations(3);
@@ -558,11 +546,13 @@ mod tests {
         let back: StorageConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(back, cfg);
         assert_eq!(BackendKind::parse("segment"), Some(BackendKind::Segment));
-        assert_eq!(
-            BackendKind::parse("append-log"),
-            Some(BackendKind::AppendLog)
-        );
-        assert_eq!(BackendKind::parse("rocksdb"), None);
+        assert_eq!(BackendKind::parse("memory"), Some(BackendKind::Memory));
+        for gone in ["appendlog", "append-log", "log", "rocksdb"] {
+            assert_eq!(BackendKind::parse(gone), None, "{gone}");
+        }
+        // A serialized config naming the removed backend no longer loads.
+        let old = json.replace("\"Memory\"", "\"AppendLog\"");
+        assert!(serde_json::from_str::<StorageConfig>(&old).is_err());
         assert_eq!(BackendKind::Segment.as_str(), "segment");
     }
 }

@@ -15,7 +15,9 @@
 //! * **Appends** go to the active (newest) segment, flushed per record;
 //!   a crash can tear only the final record of the active segment,
 //!   which open-time validation truncates away. A torn or corrupt
-//!   record anywhere else is reported as [`StorageError::Corrupt`].
+//!   record anywhere else — in a sealed segment, or inside the active
+//!   one with valid bytes after it — is reported as
+//!   [`StorageError::Corrupt`].
 //! * **Rotation** seals the active segment (fsync) once it exceeds the
 //!   configured size or record count and starts a new one.
 //! * **Compaction** is background-free: after a rotation, if enough
@@ -168,6 +170,18 @@ fn walk(bytes: &[u8], mut offset: usize, mut visit: impl FnMut(u64, u64, &[u8]) 
     }
 }
 
+/// True when the invalid record at `offset` is the file's torn tail:
+/// its header or payload is incomplete, or it fails its checksum but
+/// ends exactly at EOF. An invalid record with bytes after it is
+/// corruption, not a torn append.
+fn is_torn_tail(bytes: &[u8], offset: usize) -> bool {
+    let Some(header) = bytes.get(offset..offset + REC_HEADER) else {
+        return true;
+    };
+    let len = u32::from_be_bytes(header[..4].try_into().unwrap()) as usize;
+    offset + REC_HEADER + len >= bytes.len()
+}
+
 impl SegmentBackend {
     /// Opens (creating) the backend rooted at `dir` with default
     /// [`SegmentOptions`].
@@ -223,7 +237,8 @@ impl SegmentBackend {
     }
 
     /// Validates one segment file and builds its metadata. `tolerant`
-    /// (active segment) truncates a torn tail instead of erroring, and
+    /// (active segment) truncates a torn final record instead of
+    /// erroring (any other invalid record is still corruption), and
     /// returns `None` after discarding a file too short to hold the
     /// magic — a crash during segment creation leaves a partial magic
     /// behind, and such a file never held a committed record.
@@ -278,7 +293,7 @@ impl SegmentBackend {
             true
         });
         if end != bytes.len() {
-            if !tolerant {
+            if !(tolerant && is_torn_tail(&bytes, end)) {
                 return Err(StorageError::Corrupt(format!(
                     "{path:?}: invalid record at byte {end}"
                 )));

@@ -1,12 +1,11 @@
 //! Crash-recovery behavior the conformance suite can't express
-//! generically: mid-file corruption detection, interrupted snapshot
-//! demotion, and every window of an interrupted segment compaction.
+//! generically: corruption detection in active and sealed segments,
+//! and every window of an interrupted segment compaction.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use storage::{
-    AppendLogBackend, NamespaceProfile, Retention, SegmentBackend, SegmentOptions, StorageBackend,
-    StorageError,
+    NamespaceProfile, Retention, SegmentBackend, SegmentOptions, StorageBackend, StorageError,
 };
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -64,60 +63,89 @@ fn scan_all(b: &dyn StorageBackend) -> Vec<(u64, Vec<u8>)> {
         .collect()
 }
 
-#[test]
-fn appendlog_mid_file_corruption_is_detected_not_misread() {
-    let dir = temp_dir("log-corrupt");
-    {
-        let b = AppendLogBackend::new(&dir).unwrap();
-        b.define("log", NamespaceProfile::log(Retention::unbounded()))
-            .unwrap();
-        for key in 0..4u64 {
-            b.append("log", key, format!("v{key}").as_bytes()).unwrap();
-        }
-    }
-    // Flip a payload byte in the middle of the file: the checksum must
-    // catch it (a torn tail is the only corruption open() tolerates).
-    let path = dir.join("log");
-    let mut bytes = fs::read(&path).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x20;
-    fs::write(&path, &bytes).unwrap();
-    let b = AppendLogBackend::new(&dir).unwrap();
-    match b.define("log", NamespaceProfile::log(Retention::unbounded())) {
+/// The one segment file of namespace directory `ns_dir`.
+fn only_segment(ns_dir: &Path) -> PathBuf {
+    let segs: Vec<PathBuf> = fs::read_dir(ns_dir)
+        .unwrap()
+        .filter_map(|e| e.ok())
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "seg"))
+        .collect();
+    assert_eq!(segs.len(), 1, "expected a single (active) segment");
+    segs.into_iter().next().unwrap()
+}
+
+/// Flips one bit of the byte at `at` in `path`, returning the new bytes.
+fn flip(path: &Path, at: usize) -> Vec<u8> {
+    let mut bytes = fs::read(path).unwrap();
+    bytes[at] ^= 0x20;
+    fs::write(path, &bytes).unwrap();
+    bytes
+}
+
+fn expect_corrupt(b: &SegmentBackend, ns: &str, profile: NamespaceProfile) {
+    match b.define(ns, profile) {
         Err(StorageError::Corrupt(_)) => {}
         other => panic!("expected Corrupt, got {other:?}"),
     }
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn appendlog_interrupted_demotion_recovers_previous_generation() {
-    let dir = temp_dir("snap-demote");
+fn segment_active_interior_corruption_is_detected_not_misread() {
+    // 8-byte segment magic, then records of a 16-byte header plus the
+    // payload; every payload below is 7 bytes, so record i starts at
+    // byte 8 + 23 * i and its payload 16 bytes later.
+    let payload_byte = |i: usize| 8 + 23 * i + 16;
+    let log = NamespaceProfile::log(Retention::unbounded());
+
+    // Log namespace: a bad record with valid records after it is
+    // corruption, not a torn tail. Open must refuse rather than cut
+    // the namespace back to record 0, and must leave the file alone.
+    let dir = temp_dir("seg-active-log");
     {
-        let b = AppendLogBackend::new(&dir).unwrap();
-        b.define("ckpt", NamespaceProfile::snapshot(2)).unwrap();
-        b.append("ckpt", 0, b"generation-one").unwrap();
-        b.append("ckpt", 0, b"generation-two").unwrap();
+        let b = SegmentBackend::new(&dir).unwrap();
+        b.define("log", log).unwrap();
+        for key in 0..4u64 {
+            b.append("log", key, format!("value-{key}").as_bytes())
+                .unwrap();
+        }
+        b.flush().unwrap();
     }
-    // Crash window: the primary was demoted to .bak but the new temp
-    // file was never promoted. Only the backup generation remains.
-    fs::rename(dir.join("ckpt"), dir.join("ckpt.bak")).unwrap();
-    fs::write(dir.join("ckpt.tmp"), b"torn-generation-three").unwrap();
-    let b = AppendLogBackend::new(&dir).unwrap();
-    b.define("ckpt", NamespaceProfile::snapshot(2)).unwrap();
-    assert_eq!(b.len("ckpt").unwrap(), 1);
+    let seg = only_segment(&dir.join("log"));
+    let damaged = flip(&seg, payload_byte(1));
+    expect_corrupt(&SegmentBackend::new(&dir).unwrap(), "log", log);
+    assert_eq!(fs::read(&seg).unwrap(), damaged, "a refused open truncated");
+
+    // The same damage on the final record reaches EOF: that is a torn
+    // append, dropped on open while every earlier record survives.
+    flip(&seg, payload_byte(1));
+    flip(&seg, payload_byte(3));
+    let b = SegmentBackend::new(&dir).unwrap();
+    b.define("log", log).unwrap();
     assert_eq!(
-        b.latest("ckpt").unwrap().unwrap().value,
-        b"generation-two".to_vec(),
-        "the surviving generation is served as the newest"
+        scan_all(&b),
+        (0..3u64)
+            .map(|k| (k, format!("value-{k}").into_bytes()))
+            .collect::<Vec<_>>()
     );
-    // The torn temp file was discarded, and the next append proceeds.
-    assert!(!dir.join("ckpt.tmp").exists());
-    b.append("ckpt", 0, b"generation-three").unwrap();
-    assert_eq!(
-        b.latest("ckpt").unwrap().unwrap().value,
-        b"generation-three".to_vec()
-    );
+    let _ = fs::remove_dir_all(&dir);
+
+    // Snapshot namespace capped at two generations: generation A is
+    // already retired, but its bytes still sit in the active segment
+    // ahead of the live B and C. Damage there must not cost B and C
+    // silently (the checkpoint ladder would start fresh).
+    let dir = temp_dir("seg-active-snap");
+    let snap = NamespaceProfile::snapshot(2);
+    {
+        let b = SegmentBackend::new(&dir).unwrap();
+        b.define("ckpt", snap).unwrap();
+        for gen in ["gen-AAA", "gen-BBB", "gen-CCC"] {
+            b.append("ckpt", 0, gen.as_bytes()).unwrap();
+        }
+        assert_eq!(b.len("ckpt").unwrap(), 2);
+    }
+    flip(&only_segment(&dir.join("ckpt")), payload_byte(0));
+    expect_corrupt(&SegmentBackend::new(&dir).unwrap(), "ckpt", snap);
     let _ = fs::remove_dir_all(&dir);
 }
 

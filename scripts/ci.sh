@@ -51,9 +51,11 @@ cargo test -q --test profile_collapsed
 cargo test -q -p role-classification --lib -- cli::tests serve::tests
 
 # The storage layer must honor its durability contract on every
-# backend: the shared conformance suite pins memory/appendlog/segment
-# to one behavioral spec, the crash suite tears the tail off live files
-# and requires recovery to lose at most the final record, and the
+# backend: the shared conformance suite pins memory/segment to one
+# behavioral spec, the crash suite tears the tail off live files and
+# requires recovery to lose at most the final record — and requires a
+# bad record with valid bytes after it, even in the active segment, to
+# be reported as corruption rather than truncated away — and the
 # schedules proptest drives random append/flush/crash/reopen
 # interleavings against an in-memory model. The aggregator-side
 # round-trip (checkpoint + journal + run history sharing one backend)
@@ -67,6 +69,8 @@ cargo test -q -p role-classification --lib -- cli::tests serve::tests
 # state) still restores through the replay fallback.
 echo "==> storage conformance + crash-recovery + resume contract (restore equivalence, bounded checkpoint, v2 fallback)"
 cargo test -q -p storage
+cargo test -q -p storage --test crash -- --exact \
+  segment_active_interior_corruption_is_detected_not_misread
 cargo test -q -p aggregator --test crash_recovery
 cargo test -q -p aggregator --test crash_recovery -- --exact \
   restore_continues_exactly_like_the_uninterrupted_run \

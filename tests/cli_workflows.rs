@@ -658,18 +658,17 @@ fn storage_flag_misuse_is_a_usage_error() {
     assert_eq!(err.code, 2);
     assert!(err.message.contains("--state"), "{}", err.message);
 
-    // An unknown backend name: rejected with the valid choices.
+    // An unknown or removed backend name: rejected with the valid
+    // choices.
     let store = dir.join("store").to_string_lossy().into_owned();
-    let err = run(&args(&[
-        "metrics", "--input", flows, "--state", &store, "--store", "floppy",
-    ]))
-    .unwrap_err();
-    assert_eq!(err.code, 2);
-    assert!(
-        err.message.contains("memory|appendlog|segment"),
-        "{}",
-        err.message
-    );
+    for backend in ["floppy", "appendlog"] {
+        let err = run(&args(&[
+            "metrics", "--input", flows, "--state", &store, "--store", backend,
+        ]))
+        .unwrap_err();
+        assert_eq!(err.code, 2);
+        assert!(err.message.contains("memory|segment"), "{}", err.message);
+    }
 }
 
 #[test]

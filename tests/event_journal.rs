@@ -3,16 +3,16 @@
 //! in-memory journal and the durable flight-recorder journal, and every
 //! journal line must parse as JSON carrying a declared name.
 
+use role_classification::aggregator::store::JOURNAL_NS;
 use role_classification::aggregator::{
-    read_journal_lines, Aggregator, AggregatorConfig, Checkpointer, FlightRecorder, Probe,
-    ProbeError, RecoverySource, ReplayProbe, RunStore, SupervisorConfig, AGGREGATOR_EVENT_NAMES,
-    STORAGE_EVENT_NAMES,
+    Aggregator, AggregatorConfig, Probe, ProbeError, RecoverySource, ReplayProbe, RunStore,
+    StorageStack, SupervisorConfig, AGGREGATOR_EVENT_NAMES, STORAGE_EVENT_NAMES,
 };
 use role_classification::flow::{FlowRecord, HostAddr};
 use role_classification::roleclass::{
     EngineConfig, Params, ENGINE_EVENT_NAMES, STABILITY_EVENT_NAMES,
 };
-use role_classification::storage::{MemoryBackend, NamespaceProfile, Retention};
+use role_classification::storage::{MemoryBackend, NamespaceProfile, Retention, StorageConfig};
 use role_classification::telemetry::Recorder;
 use serde::value::Value;
 use std::collections::BTreeSet;
@@ -78,8 +78,8 @@ fn field<'a>(v: &'a Value, key: &str) -> &'a Value {
 fn degraded_pipeline_produces_every_declared_event_type() {
     let dir = std::env::temp_dir().join(format!("roleclass-events-e2e-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let ck = Checkpointer::new(dir.join("history.ckpt"));
+    let store = StorageConfig::new(dir.to_string_lossy());
+    let stack = StorageStack::open(&store).unwrap();
 
     let recorder = Arc::new(Recorder::new());
     let mut agg = Aggregator::try_new(AggregatorConfig {
@@ -92,10 +92,11 @@ fn degraded_pipeline_produces_every_declared_event_type() {
     })
     .unwrap()
     .with_recorder(Arc::clone(&recorder))
-    .with_flight_recorder(FlightRecorder::open(ck.journal_path()).unwrap())
+    .with_shared_flight_recorder(Arc::clone(stack.recorder()))
     // Run history with a two-window retention cap: over four windows,
     // both storage event types (history_recorded + retention_pruned)
-    // must fire.
+    // must fire. It sits on its own memory backend because the segment
+    // store prunes whole segments, which four small windows never fill.
     .with_run_store(Arc::new(
         RunStore::open(
             Arc::new(MemoryBackend::new()),
@@ -111,9 +112,13 @@ fn degraded_pipeline_produces_every_declared_event_type() {
     agg.attach(Box::new(ReplayProbe::new("good", trace)));
     agg.attach(Box::new(FatalProbe));
     assert_eq!(agg.drain().len(), 4);
-    agg.checkpoint(&ck).unwrap();
+    agg.checkpoint(stack.checkpointer()).unwrap();
 
-    // Restart: restore is journaled too (checkpoint_restored).
+    // Restart: reopen the stack; restore is journaled too
+    // (checkpoint_restored).
+    drop(agg);
+    drop(stack);
+    let stack = StorageStack::open(&store).unwrap();
     let mut fresh = Aggregator::try_new(AggregatorConfig {
         window_ms: 1000,
         origin_ms: 0,
@@ -124,8 +129,8 @@ fn degraded_pipeline_produces_every_declared_event_type() {
     })
     .unwrap()
     .with_recorder(Arc::clone(&recorder))
-    .with_flight_recorder(FlightRecorder::open(ck.journal_path()).unwrap());
-    let recovery = fresh.restore_from(&ck);
+    .with_shared_flight_recorder(Arc::clone(stack.recorder()));
+    let recovery = fresh.restore_from(stack.checkpointer());
     assert_eq!(recovery.source, RecoverySource::Primary);
 
     // Every declared event type — engine, aggregator, and stability
@@ -154,10 +159,12 @@ fn degraded_pipeline_produces_every_declared_event_type() {
 
     // Every durable journal line parses as JSON with a declared
     // aggregator or stability event name and a dense sequence.
-    let lines = read_journal_lines(ck.journal_path()).unwrap();
+    let lines = stack.backend().scan(JOURNAL_NS, 0, u64::MAX).unwrap();
     assert!(!lines.is_empty());
     for (i, line) in lines.iter().enumerate() {
-        let v: Value = serde_json::from_str(line).expect("journal line must parse");
+        assert_eq!(line.key, i as u64, "journal keys are sequence numbers");
+        let text = std::str::from_utf8(&line.value).expect("journal line must be UTF-8");
+        let v: Value = serde_json::from_str(text).expect("journal line must parse");
         assert_eq!(field(&v, "seq"), &Value::U64(i as u64));
         let Value::Str(layer) = field(&v, "layer") else {
             panic!("layer must be a string");
