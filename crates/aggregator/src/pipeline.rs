@@ -31,7 +31,7 @@ use roleclass::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use telemetry::{FieldValue, Recorder, TimeseriesRing};
+use telemetry::{FieldValue, Recorder, TimeseriesRing, DEFAULT_TIMESERIES_CAPACITY};
 
 /// Every metric the aggregator registers, in export (sorted) order. The
 /// workspace metric-name lint checks uniqueness and prefixing against
@@ -117,10 +117,9 @@ pub struct AggregatorConfig {
     pub window_ms: u64,
     /// Time of the first window's start.
     pub origin_ms: u64,
-    /// Engine configuration: algorithm parameters plus execution
-    /// knobs (worker counts, kernel pruning). The recorder attachment
-    /// is managed by [`Aggregator::with_recorder`], not through this
-    /// config.
+    /// Engine configuration: algorithm parameters plus the worker
+    /// count. A telemetry recorder attaches through
+    /// [`Aggregator::with_recorder`].
     pub engine: EngineConfig,
     /// Minimum flow count per pair (noise filter) applied when building
     /// connection sets.
@@ -235,7 +234,8 @@ pub struct Aggregator {
     /// CLI, not just telemetry — so outcomes stay bit-identical.
     stability: StabilityTracker,
     /// One [`WindowStability`] row per cycle since creation or the last
-    /// restore, in window order.
+    /// restore, in window order, oldest dropped first past
+    /// [`DEFAULT_TIMESERIES_CAPACITY`] rows.
     stability_history: Vec<WindowStability>,
     /// Bounded per-window ring of stability metric snapshots, fed after
     /// every cycle; `rcctl serve` streams it on `/stability?follow`.
@@ -429,6 +429,8 @@ impl Aggregator {
     /// One [`WindowStability`] row per cycle completed since the
     /// aggregator was created or last restored, in window order — the
     /// replayable record behind `rcctl stability` and `/stability`.
+    /// Holds at most the last [`DEFAULT_TIMESERIES_CAPACITY`] windows,
+    /// the same horizon as the [`timeseries`](Self::timeseries) ring.
     pub fn stability_history(&self) -> &[WindowStability] {
         &self.stability_history
     }
@@ -602,7 +604,7 @@ impl Aggregator {
             builder.add_records(records.iter());
             // Built against the master table, so hosts keep the dense id
             // they were first assigned, across every window.
-            let (connsets, build_stats) = builder.build_with_telemetry(&mut self.host_table, rec);
+            let (connsets, build_stats) = builder.build_into(&mut self.host_table, rec);
             health.records_accepted = build_stats.kept_flows;
             health.records_dropped = build_stats.dropped_flows;
             connsets
@@ -794,6 +796,9 @@ impl Aggregator {
             };
         }
         self.timeseries.record(stab.window, frame_values);
+        if self.stability_history.len() >= DEFAULT_TIMESERIES_CAPACITY {
+            self.stability_history.remove(0);
+        }
         self.stability_history.push(stab);
         for alert in churn_alerts {
             if observing {
@@ -1619,6 +1624,25 @@ mod tests {
         assert_eq!(hosts, 10.0);
         // No churn on a stable network: no RoleChurn alert queued.
         assert!(agg.pending_alerts().is_empty());
+    }
+
+    #[test]
+    fn stability_rows_are_capped_at_the_timeseries_horizon() {
+        let mut agg = Aggregator::new(config());
+        let trace: Vec<FlowRecord> = (0..2).flat_map(|d| day_trace(d, 3)).collect();
+        agg.attach(Box::new(ReplayProbe::new("p0", trace)));
+        agg.run_cycle();
+        // Stand in for a long uptime: a full history of copies of
+        // window 0's row, then one more real cycle.
+        let row = agg.stability_history[0].clone();
+        agg.stability_history = vec![row; DEFAULT_TIMESERIES_CAPACITY];
+        agg.run_cycle();
+        let rows = agg.stability_history();
+        assert_eq!(DEFAULT_TIMESERIES_CAPACITY, 4_096);
+        assert_eq!(rows.len(), DEFAULT_TIMESERIES_CAPACITY);
+        // The oldest row went; the new window is last.
+        assert_eq!(rows.last().unwrap().window, 1);
+        assert_eq!(rows.iter().filter(|r| r.window == 0).count(), 4_095);
     }
 
     #[test]

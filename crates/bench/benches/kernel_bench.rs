@@ -20,12 +20,18 @@ use synthnet::{ConnRule, Fanout, NetworkModel, RoleSpec};
 const SIZES: [usize; 2] = [1_000, 10_000];
 
 /// Worker count for this run: `ROLECLASS_THREADS` (parsed at the bench
-/// layer), else one per core — the same resolution `EngineConfig` uses.
+/// layer), else one per core, resolved through `EngineConfig`.
 fn engine_workers() -> usize {
-    match workers_from_env() {
-        0 => netgraph::default_worker_count(),
-        n => n,
-    }
+    EngineConfig::default()
+        .with_workers(workers_from_env())
+        .resolved_workers()
+}
+
+/// The kernel over `cs`'s own CSR, exactly as the formation sweep builds
+/// it minus the prune floors.
+fn build_kernel(cs: &flow::ConnectionSets) -> CommonNeighborKernel {
+    let (offsets, nbrs) = cs.csr();
+    CommonNeighborKernel::build(offsets, nbrs, |_| true, engine_workers(), &[], None)
 }
 
 /// A department-structured network with ~n hosts (the same shape the
@@ -45,8 +51,9 @@ fn department_network(n: usize) -> flow::ConnectionSets {
     m.generate(7).connsets
 }
 
-/// Unit-weight connectivity graph over the connection sets, the shape
-/// the formation phase hands the kernel.
+/// Unit-weight connectivity graph over the connection sets — the graph
+/// the formation phase contracts. Hosts are added in row order, so node
+/// `i` is CSR row `i`.
 fn conn_graph(cs: &flow::ConnectionSets) -> WGraph {
     let mut g = WGraph::with_capacity(cs.host_count());
     let mut node_of_host = std::collections::BTreeMap::new();
@@ -62,9 +69,9 @@ fn conn_graph(cs: &flow::ConnectionSets) -> WGraph {
 fn bench_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernel_build");
     for &n in &SIZES {
-        let g = conn_graph(&department_network(n));
-        group.bench_with_input(BenchmarkId::from_parameter(n), &g, |b, g| {
-            b.iter(|| CommonNeighborKernel::build_with_workers(g, |_| true, engine_workers()))
+        let cs = department_network(n);
+        group.bench_with_input(BenchmarkId::from_parameter(n), &cs, |b, cs| {
+            b.iter(|| build_kernel(cs))
         });
     }
     group.finish();
@@ -73,8 +80,7 @@ fn bench_build(c: &mut Criterion) {
 fn bench_threshold_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernel_threshold_sweep");
     for &n in &SIZES {
-        let g = conn_graph(&department_network(n));
-        let kernel = CommonNeighborKernel::build_with_workers(&g, |_| true, engine_workers());
+        let kernel = build_kernel(&department_network(n));
         group.bench_with_input(BenchmarkId::from_parameter(n), &kernel, |b, kernel| {
             b.iter(|| {
                 let mut total = 0usize;
@@ -91,8 +97,9 @@ fn bench_threshold_sweep(c: &mut Criterion) {
 fn bench_contraction_update(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernel_contraction_update");
     for &n in &SIZES {
-        let g = conn_graph(&department_network(n));
-        let kernel = CommonNeighborKernel::build_with_workers(&g, |_| true, engine_workers());
+        let cs = department_network(n);
+        let g = conn_graph(&cs);
+        let kernel = build_kernel(&cs);
         // One department's workstations: the role allocator hands out
         // the 4 core servers first, then 43 clients per department.
         let members: Vec<NodeId> = (4..47).map(|i| NodeId(i as u32)).collect();

@@ -1,5 +1,5 @@
-//! Typed engine configuration: every tuning knob of the classification
-//! pipeline in one builder-constructed, serializable value.
+//! Typed engine configuration: the algorithm parameters plus the one
+//! execution knob, as plain data.
 //!
 //! [`EngineConfig`] replaces the environment-variable knobs that used to
 //! be read deep inside the libraries (`ROLECLASS_THREADS` in the kernel)
@@ -8,120 +8,55 @@
 //! [`Engine::from_config`][crate::Engine::from_config] or the
 //! aggregator. Libraries below this type never touch `std::env`.
 //!
-//! The worker counts are *determinism-free* knobs: every parallel path
+//! The worker count is a *determinism-free* knob: every parallel path
 //! in the pipeline (kernel counting, merge scoring) reduces worker
 //! output in a fixed order with exact integer or per-pair-pure
 //! arithmetic, so any worker count produces bit-identical groupings and
 //! correlation ids. `0` means "use the machine's parallelism".
 
 use crate::params::{ParamError, Params};
-use serde::{Deserialize, Serialize};
-use std::sync::Arc;
-use telemetry::Recorder;
-
-/// Whether the kernel may suppress pairs that can never reach the
-/// formation sweep's query levels (see
-/// `CommonNeighborKernel::build_pruned`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PruneMode {
-    /// Derive per-host prune floors from the bootstrap rule — lossless
-    /// for the sweep by construction (the default).
-    #[default]
-    Auto,
-    /// Materialize every pair, as the reference implementation does.
-    Off,
-}
+use netgraph::MAX_WORKERS;
 
 /// Configuration carried by [`Engine`][crate::Engine] and the
-/// aggregator pipeline: algorithm parameters plus execution knobs.
+/// aggregator pipeline: algorithm parameters plus the worker count.
 ///
-/// Construct with the builder methods; the `Default` value matches the
-/// paper's parameters on one auto-sized worker pool with pruning on.
-/// Serialization covers everything except the recorder attachment
-/// (a live handle, rebound at load time by whoever owns the registry).
-#[derive(Clone, Debug, Default)]
+/// The `Default` value matches the paper's parameters on one
+/// auto-sized worker pool. Telemetry attaches to the engine or the
+/// aggregator that runs this config, not to the config itself.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct EngineConfig {
     /// Algorithm parameters (α, β, thresholds, variants).
     pub params: Params,
-    /// Worker threads for the common-neighbor kernel build; `0` sizes
-    /// from the machine. Output is bit-identical at any value.
-    pub kernel_workers: usize,
-    /// Worker threads for merge-phase similarity scoring; `0` sizes
-    /// from the machine. Output is bit-identical at any value.
-    pub merge_workers: usize,
-    /// Kernel pair pruning mode.
-    pub prune: PruneMode,
-    /// Telemetry recorder attached to every engine built from this
-    /// config. Not serialized.
-    recorder: Option<Arc<Recorder>>,
+    /// Worker threads for the common-neighbor kernel build and
+    /// merge-phase similarity scoring; `0` sizes from the machine.
+    /// Output is bit-identical at any value.
+    pub workers: usize,
 }
 
 impl EngineConfig {
-    /// A config with the given parameters and default execution knobs.
+    /// A config with the given parameters and an auto-sized worker pool.
     pub fn new(params: Params) -> Self {
-        EngineConfig {
-            params,
-            ..EngineConfig::default()
+        EngineConfig { params, workers: 0 }
+    }
+
+    /// Builder-style setter for the worker count (`0` = auto).
+    pub fn with_workers(mut self, workers: usize) -> Self {
+        self.workers = workers;
+        self
+    }
+
+    /// The worker count to actually run with: the configured count, or
+    /// the machine's parallelism for `0`, clamped to `[1, MAX_WORKERS]`
+    /// so kernel counting and merge scoring share one thread bound.
+    pub fn resolved_workers(&self) -> usize {
+        match self.workers {
+            0 => netgraph::default_worker_count(),
+            n => n,
         }
+        .clamp(1, MAX_WORKERS)
     }
 
-    /// Builder-style setter for the algorithm parameters.
-    pub fn with_params(mut self, params: Params) -> Self {
-        self.params = params;
-        self
-    }
-
-    /// Builder-style setter for the kernel worker count (`0` = auto).
-    pub fn with_kernel_workers(mut self, workers: usize) -> Self {
-        self.kernel_workers = workers;
-        self
-    }
-
-    /// Builder-style setter for the merge worker count (`0` = auto).
-    pub fn with_merge_workers(mut self, workers: usize) -> Self {
-        self.merge_workers = workers;
-        self
-    }
-
-    /// Builder-style setter for both worker pools at once.
-    pub fn with_workers(self, workers: usize) -> Self {
-        self.with_kernel_workers(workers)
-            .with_merge_workers(workers)
-    }
-
-    /// Builder-style setter for the prune mode.
-    pub fn with_prune(mut self, prune: PruneMode) -> Self {
-        self.prune = prune;
-        self
-    }
-
-    /// Builder-style attachment of a telemetry recorder.
-    pub fn with_recorder(mut self, recorder: Arc<Recorder>) -> Self {
-        self.recorder = Some(recorder);
-        self
-    }
-
-    /// The attached recorder, if any.
-    pub fn recorder(&self) -> Option<&Arc<Recorder>> {
-        self.recorder.as_ref()
-    }
-
-    /// Removes and returns the recorder attachment.
-    pub fn take_recorder(&mut self) -> Option<Arc<Recorder>> {
-        self.recorder.take()
-    }
-
-    /// The kernel worker count to actually run with.
-    pub fn resolved_kernel_workers(&self) -> usize {
-        resolve_workers(self.kernel_workers)
-    }
-
-    /// The merge worker count to actually run with.
-    pub fn resolved_merge_workers(&self) -> usize {
-        resolve_workers(self.merge_workers)
-    }
-
-    /// Validates the algorithm parameters (the execution knobs have no
+    /// Validates the algorithm parameters (the worker count has no
     /// invalid values: `0` means auto and anything else is a count).
     pub fn validate(&self) -> Result<(), ParamError> {
         self.params.validate()
@@ -134,53 +69,6 @@ impl From<Params> for EngineConfig {
     }
 }
 
-fn resolve_workers(configured: usize) -> usize {
-    if configured == 0 {
-        netgraph::default_worker_count()
-    } else {
-        configured
-    }
-}
-
-/// The serialized shape of [`EngineConfig`]: everything but the
-/// recorder, with execution knobs defaulting so parameter-only
-/// documents keep loading.
-#[derive(Serialize, Deserialize)]
-struct EngineConfigWire {
-    params: Params,
-    #[serde(default)]
-    kernel_workers: usize,
-    #[serde(default)]
-    merge_workers: usize,
-    #[serde(default)]
-    prune: PruneMode,
-}
-
-impl Serialize for EngineConfig {
-    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        EngineConfigWire {
-            params: self.params,
-            kernel_workers: self.kernel_workers,
-            merge_workers: self.merge_workers,
-            prune: self.prune,
-        }
-        .serialize(s)
-    }
-}
-
-impl<'de> Deserialize<'de> for EngineConfig {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let wire = EngineConfigWire::deserialize(d)?;
-        Ok(EngineConfig {
-            params: wire.params,
-            kernel_workers: wire.kernel_workers,
-            merge_workers: wire.merge_workers,
-            prune: wire.prune,
-            recorder: None,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,56 +77,29 @@ mod tests {
     fn default_is_auto_everything() {
         let cfg = EngineConfig::default();
         assert_eq!(cfg.params, Params::default());
-        assert_eq!(cfg.kernel_workers, 0);
-        assert_eq!(cfg.merge_workers, 0);
-        assert_eq!(cfg.prune, PruneMode::Auto);
-        assert!(cfg.recorder().is_none());
-        assert!(cfg.resolved_kernel_workers() >= 1);
-        assert!(cfg.resolved_merge_workers() >= 1);
+        assert_eq!(cfg.workers, 0);
+        assert!(cfg.resolved_workers() >= 1);
         assert!(cfg.validate().is_ok());
     }
 
     #[test]
     fn builders_chain() {
-        let rec = Arc::new(Recorder::new());
-        let cfg = EngineConfig::new(Params::default().with_k_hi(3))
-            .with_workers(4)
-            .with_merge_workers(2)
-            .with_prune(PruneMode::Off)
-            .with_recorder(Arc::clone(&rec));
+        let cfg = EngineConfig::new(Params::default().with_k_hi(3)).with_workers(4);
         assert_eq!(cfg.params.k_hi, 3);
-        assert_eq!(cfg.kernel_workers, 4);
-        assert_eq!(cfg.merge_workers, 2);
-        assert_eq!(cfg.resolved_kernel_workers(), 4);
-        assert_eq!(cfg.resolved_merge_workers(), 2);
-        assert_eq!(cfg.prune, PruneMode::Off);
-        assert!(cfg.recorder().is_some());
+        assert_eq!(cfg.workers, 4);
+        assert_eq!(cfg.resolved_workers(), 4);
     }
 
     #[test]
-    fn serde_round_trips_without_recorder() {
-        let cfg = EngineConfig::new(Params::default().with_alpha(0.3))
-            .with_workers(8)
-            .with_prune(PruneMode::Off)
-            .with_recorder(Arc::new(Recorder::new()));
-        let json = serde_json::to_string(&cfg).unwrap();
-        let back: EngineConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.params, cfg.params);
-        assert_eq!(back.kernel_workers, 8);
-        assert_eq!(back.merge_workers, 8);
-        assert_eq!(back.prune, PruneMode::Off);
-        assert!(back.recorder().is_none(), "recorder must not serialize");
-    }
-
-    #[test]
-    fn deserializes_parameter_only_documents() {
-        let json = format!(
-            "{{\"params\":{}}}",
-            serde_json::to_string(&Params::default()).unwrap()
-        );
-        let cfg: EngineConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(cfg.kernel_workers, 0);
-        assert_eq!(cfg.prune, PruneMode::Auto);
+    fn resolved_workers_clamps_to_the_shared_cap() {
+        // Pure arithmetic: resolving a count spawns nothing.
+        let resolved = |n| EngineConfig::default().with_workers(n).resolved_workers();
+        assert_eq!(MAX_WORKERS, 64);
+        assert_eq!(resolved(10_000), 64);
+        assert_eq!(resolved(65), 64);
+        assert_eq!(resolved(64), 64);
+        assert_eq!(resolved(1), 1);
+        assert!((1..=64).contains(&resolved(0)));
     }
 
     #[test]

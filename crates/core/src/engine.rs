@@ -125,15 +125,13 @@ impl Engine {
     }
 
     /// Creates an engine from a full [`EngineConfig`] (parameters plus
-    /// worker counts, prune mode, and recorder attachment), validating
-    /// once and for all.
-    pub fn from_config(mut config: EngineConfig) -> Result<Self, ParamError> {
+    /// worker count), validating once and for all.
+    pub fn from_config(config: EngineConfig) -> Result<Self, ParamError> {
         config.validate()?;
-        let recorder = config.take_recorder();
         Ok(Engine {
             config,
             prev: None,
-            recorder,
+            recorder: None,
         })
     }
 

@@ -29,7 +29,7 @@
 //! the executable specification the kernel path is tested (and
 //! benchmarked) against.
 
-use crate::config::{EngineConfig, PruneMode};
+use crate::config::EngineConfig;
 use crate::group::{Group, GroupId, Grouping};
 use crate::params::{ParamError, Params, TieBreak};
 use flow::{ConnectionSets, HostAddr};
@@ -307,8 +307,8 @@ pub(crate) fn form_groups_validated(cs: &ConnectionSets, params: &Params) -> For
 /// span (with the kernel's build phases nested inside), counts
 /// productive sweep levels and fixpoint rounds, and times the phase.
 /// With `None` the sweep is exactly the uninstrumented one. The
-/// config's worker count and prune mode never change the output — only
-/// how fast it is computed.
+/// config's worker count never changes the output — only how fast it
+/// is computed.
 pub(crate) fn form_groups_with(
     cs: &ConnectionSets,
     cfg: &EngineConfig,
@@ -327,9 +327,9 @@ pub(crate) fn form_groups_with(
     // this point identical to `st.g`, which has not been contracted yet)
     // instead of re-snapshotting the graph.
     //
-    // Prune floors (`PruneMode::Auto`): host `h` leaves the candidate
-    // pool no later than its bootstrap trigger (step 2e fires at the
-    // first level processed at or below it, and the first processed
+    // Prune floors: host `h` leaves the candidate pool no later than
+    // its bootstrap trigger (step 2e fires at the first level processed
+    // at or below it, and the first processed
     // level ≤ the trigger is the trigger itself, by the level-jump
     // rule), so `h` is never an eligible pair endpoint at any level
     // below `trigger(h)` — that level is a sound per-host floor. A pair
@@ -338,27 +338,19 @@ pub(crate) fn form_groups_with(
     // level-jump oracle is always dominated by the pending bootstrap
     // triggers for such pairs — never shifts the sweep either.
     let (offsets, nbrs) = cs.csr();
-    let workers = cfg.resolved_kernel_workers();
-    st.kernel = Some(match cfg.prune {
-        PruneMode::Auto => {
-            let floors: Vec<u32> = st
-                .orig_degree
-                .iter()
-                .map(|&d| bootstrap_trigger(params.alpha, d).unwrap_or(1))
-                .collect();
-            CommonNeighborKernel::build_from_unit_csr_pruned(
-                offsets,
-                nbrs,
-                |_| true,
-                workers,
-                &floors,
-                rec,
-            )
-        }
-        PruneMode::Off => {
-            CommonNeighborKernel::build_from_unit_csr(offsets, nbrs, |_| true, workers, rec)
-        }
-    });
+    let floors: Vec<u32> = st
+        .orig_degree
+        .iter()
+        .map(|&d| bootstrap_trigger(params.alpha, d).unwrap_or(1))
+        .collect();
+    st.kernel = Some(CommonNeighborKernel::build(
+        offsets,
+        nbrs,
+        |_| true,
+        cfg.resolved_workers(),
+        &floors,
+        rec,
+    ));
 
     let mut k = cs.max_degree() as u32;
     while k >= 1 && !st.ungrouped_hosts().is_empty() {

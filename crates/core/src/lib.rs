@@ -18,11 +18,12 @@
 //! are validated once at construction (every entry point also has a
 //! fallible `try_*` twin returning [`ParamError`]), the phases are
 //! staged (`form → merge → correlate_with`), and cross-window state is
-//! retained so successive windows keep stable group ids. Execution
-//! knobs — worker counts, kernel pruning, recorder attachment — live in
-//! the typed [`EngineConfig`](config::EngineConfig), built at the edge
-//! and passed to [`Engine::from_config`](engine::Engine::from_config);
-//! nothing in this crate reads environment variables.
+//! retained so successive windows keep stable group ids. The typed
+//! [`EngineConfig`](config::EngineConfig) — parameters plus one worker
+//! count — is built at the edge and passed to
+//! [`Engine::from_config`](engine::Engine::from_config); a telemetry
+//! recorder attaches to the engine itself. Nothing in this crate reads
+//! environment variables.
 //!
 //! Supporting modules: [`params`] (all tunables, with the paper's
 //! defaults), [`group`] (partition types), [`diff`] (partition change
@@ -68,7 +69,7 @@ pub mod stability;
 
 pub use autotune::{auto_k_hi_kcore, auto_k_hi_otsu, auto_params};
 pub use classify::{try_classify, Classification, GroupNeighborhood};
-pub use config::{EngineConfig, PruneMode};
+pub use config::EngineConfig;
 pub use correlate::{apply_correlation, try_correlate, Correlation};
 pub use diff::{diff_groupings, GroupingDiff};
 pub use engine::{
@@ -97,7 +98,7 @@ pub use stability::{
 /// parameter/result types they exchange.
 pub mod prelude {
     pub use crate::classify::{try_classify, Classification, GroupNeighborhood};
-    pub use crate::config::{EngineConfig, PruneMode};
+    pub use crate::config::EngineConfig;
     pub use crate::correlate::{apply_correlation, try_correlate, Correlation};
     pub use crate::engine::{Engine, EngineSnapshot, Formed, Merged, WindowOutcome};
     pub use crate::formation::{try_form_groups, FormationResult};

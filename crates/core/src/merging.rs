@@ -392,7 +392,7 @@ pub(crate) fn merge_groups_with(
             &wdeg,
             params.similarity,
             &pairs,
-            cfg.resolved_merge_workers(),
+            cfg.resolved_workers(),
         )
     };
     let mut sims: NodeMap<(NodeId, NodeId), f64> =

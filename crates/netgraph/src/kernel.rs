@@ -6,8 +6,9 @@
 //! pair of eligible nodes whose weighted common-neighbor count clears
 //! `k`. Recomputing the full count table per level costs
 //! `O(levels · Σ deg(v)²)`; this module instead computes the table once
-//! with a row-centric pass: each worker owns a contiguous ascending
-//! range of endpoint rows and, for row `a`, accumulates the
+//! with a row-centric pass over the caller's borrowed unit-weight CSR
+//! (the connection sets' own adjacency): each worker owns a contiguous
+//! ascending range of endpoint rows and, for row `a`, accumulates the
 //! contributions of every two-path `a–via–b` (`b > a`) into a
 //! per-partner accumulator — a fixed-stride `u64` bitset tracks touched
 //! partners for high-degree rows (walked in word order, which emits the
@@ -66,7 +67,7 @@ pub const KERNEL_METRIC_NAMES: &[&str] = &[
     "roleclass_kernel_threshold_queries_total",
     "roleclass_kernel_threshold_seconds",
     "roleclass_kernel_worker_entries",
-    "roleclass_kernel_workers",
+    "roleclass_kernel_worker_threads",
 ];
 
 /// Pre-fetched handles for the kernel's metrics. Fetched once at build
@@ -76,7 +77,7 @@ pub const KERNEL_METRIC_NAMES: &[&str] = &[
 pub struct KernelMetrics {
     /// Kernel builds completed.
     builds_total: telemetry::Counter,
-    /// Wall-clock seconds per full build (CSR + count + merge + rank).
+    /// Wall-clock seconds per full build (count + merge + rank).
     build_seconds: telemetry::Histogram,
     /// Entries in the base pair table after the latest build/compaction.
     base_pairs: telemetry::Gauge,
@@ -117,7 +118,7 @@ impl KernelMetrics {
             ),
             base_pairs: reg.gauge("roleclass_kernel_base_pairs"),
             base_pairs_emitted: reg.counter("roleclass_kernel_base_pairs_emitted_total"),
-            workers: reg.gauge("roleclass_kernel_workers"),
+            workers: reg.gauge("roleclass_kernel_worker_threads"),
             worker_entries: reg
                 .histogram("roleclass_kernel_worker_entries", telemetry::SIZE_BUCKETS),
             contractions_total: reg.counter("roleclass_kernel_contractions_total"),
@@ -139,9 +140,10 @@ impl KernelMetrics {
     }
 }
 
-/// Upper bound on worker threads — beyond this the coordination cost
-/// dominates any conceivable speedup on the per-row pass.
-const MAX_WORKERS: usize = 64;
+/// Upper bound on worker threads for every parallel phase (the kernel's
+/// per-row pass and merge scoring) — beyond this the coordination cost
+/// dominates any conceivable speedup.
+pub const MAX_WORKERS: usize = 64;
 
 /// The machine's available parallelism, clamped to `[1, 64]`.
 ///
@@ -212,101 +214,33 @@ impl NodeBitSet {
     }
 }
 
-/// Immutable CSR snapshot of a [`WGraph`]'s adjacency, indexed by raw
-/// node id (dead ids get empty rows). Built once per kernel build so the
-/// parallel pass reads two flat arrays instead of chasing per-node
-/// `Vec`s.
-struct Csr {
-    offsets: Vec<usize>,
-    nbrs: Vec<NodeId>,
-    weights: Vec<u64>,
-}
-
-impl Csr {
-    fn snapshot(g: &WGraph) -> Csr {
-        let bound = g.id_bound();
-        let mut offsets = Vec::with_capacity(bound + 1);
-        let mut nbrs = Vec::with_capacity(2 * g.edge_count());
-        let mut weights = Vec::with_capacity(2 * g.edge_count());
-        offsets.push(0);
-        for i in 0..bound {
-            let id = NodeId::from_index(i);
-            if g.contains_node(id) {
-                for &(n, w) in g.neighbor_slice(id) {
-                    nbrs.push(n);
-                    weights.push(w);
-                }
-            }
-            offsets.push(nbrs.len());
-        }
-        Csr {
-            offsets,
-            nbrs,
-            weights,
-        }
-    }
-
-    #[inline]
-    fn row(&self, i: usize) -> (&[NodeId], &[u64]) {
-        let (lo, hi) = (self.offsets[i], self.offsets[i + 1]);
-        (&self.nbrs[lo..hi], &self.weights[lo..hi])
-    }
-
-    fn row_count(&self) -> usize {
-        self.offsets.len() - 1
-    }
-}
-
-/// The adjacency the counting pass runs over: either the owned weighted
-/// snapshot of a [`WGraph`], or a caller-provided unit-weight CSR (such
-/// as `flow::ConnectionSets::csr()`) borrowed directly with no copy.
+/// The borrowed unit-weight CSR the counting pass runs over (such as
+/// `flow::ConnectionSets::csr()`): row `i` is node id `i`, its neighbors
+/// are `nbrs[offsets[i]..offsets[i + 1]]`. Read in place, never copied.
 #[derive(Clone, Copy)]
-enum CsrSource<'a> {
-    Weighted(&'a Csr),
-    Unit { offsets: &'a [u32], nbrs: &'a [u32] },
+struct Csr<'a> {
+    offsets: &'a [u32],
+    nbrs: &'a [u32],
 }
 
-impl CsrSource<'_> {
+impl Csr<'_> {
     fn row_count(&self) -> usize {
-        match *self {
-            CsrSource::Weighted(c) => c.row_count(),
-            CsrSource::Unit { offsets, .. } => offsets.len().saturating_sub(1),
-        }
+        self.offsets.len().saturating_sub(1)
     }
 
     #[inline]
-    fn degree(&self, i: usize) -> usize {
-        match *self {
-            CsrSource::Weighted(c) => c.offsets[i + 1] - c.offsets[i],
-            CsrSource::Unit { offsets, .. } => (offsets[i + 1] - offsets[i]) as usize,
-        }
-    }
-
-    /// Sum of row `i`'s edge weights — the upper bound on any pair
-    /// count with `i` as an endpoint. Saturating: an overflowed sum only
-    /// weakens the bound, never breaks it.
-    fn weighted_degree(&self, i: usize) -> u64 {
-        match *self {
-            CsrSource::Weighted(c) => {
-                let (lo, hi) = (c.offsets[i], c.offsets[i + 1]);
-                c.weights[lo..hi]
-                    .iter()
-                    .fold(0u64, |acc, &w| acc.saturating_add(w))
-            }
-            CsrSource::Unit { offsets, .. } => (offsets[i + 1] - offsets[i]) as u64,
-        }
+    fn row(&self, i: usize) -> &[u32] {
+        &self.nbrs[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
     /// Cost model of the per-row counting pass: row `i` walks every
     /// neighbor's full row.
+    #[inline]
     fn neighbor_degree_sum(&self, i: usize) -> usize {
-        match *self {
-            CsrSource::Weighted(c) => c.row(i).0.iter().map(|v| self.degree(v.index())).sum(),
-            CsrSource::Unit { offsets, nbrs } => nbrs[offsets[i] as usize..offsets[i + 1] as usize]
-                .iter()
-                .map(|&v| self.degree(v as usize))
-                .sum(),
-        }
+        self.row(i)
+            .iter()
+            .map(|&v| self.row(v as usize).len())
+            .sum()
     }
 }
 
@@ -327,15 +261,16 @@ struct PruneTable {
 }
 
 impl PruneTable {
-    /// Builds the table from caller floors + the CSR's weighted degrees,
-    /// or `None` when no floor exceeds 1 (floors of 0/1 can never prune:
-    /// any pair sharing a neighbor has both weighted degrees ≥ 1).
-    fn new(floors: &[u32], csr: &CsrSource<'_>) -> Option<PruneTable> {
+    /// Builds the table from caller floors + the CSR's degrees (every
+    /// edge weighs 1 at build), or `None` when no floor exceeds 1
+    /// (floors of 0/1 can never prune: any pair sharing a neighbor has
+    /// both weighted degrees ≥ 1).
+    fn new(floors: &[u32], csr: &Csr<'_>) -> Option<PruneTable> {
         if floors.iter().all(|&f| f <= 1) {
             return None;
         }
         let wdeg = (0..csr.row_count())
-            .map(|i| csr.weighted_degree(i))
+            .map(|i| csr.row(i).len() as u64)
             .collect();
         Some(PruneTable {
             floors: floors.to_vec(),
@@ -371,7 +306,7 @@ impl PruneTable {
 /// Splits CSR rows into at most `workers` contiguous chunks of roughly
 /// equal counting work. The pass for row `a` visits every neighbor of
 /// every neighbor, so its cost is `Σ_{via ∈ N(a)} deg(via)`.
-fn partition_rows(csr: &CsrSource<'_>, workers: usize) -> Vec<std::ops::Range<usize>> {
+fn partition_rows(csr: &Csr<'_>, workers: usize) -> Vec<std::ops::Range<usize>> {
     let work_of = |i: usize| csr.neighbor_degree_sum(i);
     let total: usize = (0..csr.row_count()).map(work_of).sum();
     let target = total.div_ceil(workers.max(1)).max(1);
@@ -456,26 +391,13 @@ impl RowScratch {
 
 /// One worker's pass over a contiguous ascending range of endpoint rows.
 /// For each eligible row `a`, every two-path `a–via–b` with `b > a` and
-/// `b` eligible contributes `min(w(a,via), w(via,b))` to the pair
-/// `(a, b)`; per-row emission is key-sorted, and rows ascend, so the
-/// returned run is key-sorted as a whole. Returns the run plus the
-/// number of contributions the prune floors suppressed. Dispatches once
-/// per chunk to a weight-specialized loop — the unit path carries no
-/// per-element weight reads at all.
+/// `b` eligible contributes 1 to the pair `(a, b)` — unit weights make
+/// the sum the plain common-neighbor count. Per-row emission is
+/// key-sorted, and rows ascend, so the returned run is key-sorted as a
+/// whole. Returns the run plus the number of contributions the prune
+/// floors suppressed.
 fn count_chunk(
-    csr: &CsrSource<'_>,
-    eligible: &NodeBitSet,
-    prune: Option<&PruneTable>,
-    rows: std::ops::Range<usize>,
-) -> (Vec<(u64, u64)>, u64) {
-    match *csr {
-        CsrSource::Weighted(c) => count_chunk_weighted(c, eligible, prune, rows),
-        CsrSource::Unit { offsets, nbrs } => count_chunk_unit(offsets, nbrs, eligible, prune, rows),
-    }
-}
-
-fn count_chunk_weighted(
-    csr: &Csr,
+    csr: &Csr<'_>,
     eligible: &NodeBitSet,
     prune: Option<&PruneTable>,
     rows: std::ops::Range<usize>,
@@ -491,67 +413,9 @@ fn count_chunk_weighted(
             Some(p) => (p.floor(a), p.wdeg_of(a)),
             None => (0, u64::MAX),
         };
-        let (a_nbrs, a_weights) = csr.row(a);
-        let work: usize = a_nbrs
-            .iter()
-            .map(|v| csr.offsets[v.index() + 1] - csr.offsets[v.index()])
-            .sum();
-        let dense = work >= scratch.touched.len().saturating_sub(a / 64);
-        for (&via, &wa) in a_nbrs.iter().zip(a_weights) {
-            let (v_nbrs, v_weights) = csr.row(via.index());
-            for (&b, &wb) in v_nbrs.iter().zip(v_weights) {
-                if b.index() <= a || !eligible.contains(b) {
-                    continue;
-                }
-                if let Some(p) = prune {
-                    if p.pruned_vs(wda, fa, b.index()) {
-                        pruned_paths += 1;
-                        continue;
-                    }
-                }
-                let c = contribution(wa, wb);
-                if dense {
-                    scratch.acc[b.index()] += c;
-                    scratch.touched[b.index() / 64] |= 1u64 << (b.index() % 64);
-                } else {
-                    scratch.sparse.push((b.0, c));
-                }
-            }
-        }
-        if dense {
-            scratch.drain_dense(a, &mut out);
-        } else {
-            scratch.drain_sparse(a, &mut out);
-        }
-    }
-    (out, pruned_paths)
-}
-
-fn count_chunk_unit(
-    offsets: &[u32],
-    nbrs: &[u32],
-    eligible: &NodeBitSet,
-    prune: Option<&PruneTable>,
-    rows: std::ops::Range<usize>,
-) -> (Vec<(u64, u64)>, u64) {
-    let bound = offsets.len().saturating_sub(1);
-    let mut scratch = RowScratch::new(bound);
-    let mut out: Vec<(u64, u64)> = Vec::new();
-    let mut pruned_paths = 0u64;
-    let row = |i: usize| &nbrs[offsets[i] as usize..offsets[i + 1] as usize];
-    for a in rows {
-        if !eligible.contains(NodeId::from_index(a)) {
-            continue;
-        }
-        let (fa, wda) = match prune {
-            Some(p) => (p.floor(a), p.wdeg_of(a)),
-            None => (0, u64::MAX),
-        };
-        let a_row = row(a);
-        let work: usize = a_row.iter().map(|&v| row(v as usize).len()).sum();
-        let dense = work >= scratch.touched.len().saturating_sub(a / 64);
-        for &via in a_row {
-            for &b in row(via as usize) {
+        let dense = csr.neighbor_degree_sum(a) >= scratch.touched.len().saturating_sub(a / 64);
+        for &via in csr.row(a) {
+            for &b in csr.row(via as usize) {
                 let bi = b as usize;
                 if bi <= a || !eligible.contains(NodeId::from_index(bi)) {
                     continue;
@@ -562,8 +426,6 @@ fn count_chunk_unit(
                         continue;
                     }
                 }
-                // Unit weights: each shared neighbor contributes exactly
-                // 1, so the sum is the plain common-neighbor count.
                 if dense {
                     scratch.acc[bi] += 1;
                     scratch.touched[bi / 64] |= 1u64 << (bi % 64);
@@ -668,7 +530,6 @@ pub struct CommonNeighborKernel {
     /// Build-time prune floors, if any: pairs this table prunes were
     /// never materialized and must stay unmaterialized on contraction.
     prune: Option<PruneTable>,
-    workers: usize,
     /// Eligible-endpoint count at the last rebuild; a halving means most
     /// cached pairs died, which triggers a compaction so scans stay
     /// proportional to the live table.
@@ -680,102 +541,28 @@ pub struct CommonNeighborKernel {
 }
 
 impl CommonNeighborKernel {
-    /// Builds the full count table for `g`, with endpoint eligibility
-    /// given by `endpoint_ok`, using [`default_worker_count`] threads.
-    pub fn build<F>(g: &WGraph, endpoint_ok: F) -> Self
-    where
-        F: Fn(NodeId) -> bool,
-    {
-        Self::build_with_workers(g, endpoint_ok, default_worker_count())
-    }
-
-    /// [`build`][Self::build] with an explicit worker count (clamped to
-    /// at least 1). The result is identical for every worker count.
-    pub fn build_with_workers<F>(g: &WGraph, endpoint_ok: F, workers: usize) -> Self
-    where
-        F: Fn(NodeId) -> bool,
-    {
-        Self::build_with_telemetry(g, endpoint_ok, workers, None)
-    }
-
-    /// [`build_with_workers`][Self::build_with_workers] with an optional
-    /// recorder. With `Some`, the build emits `kernel.build` spans
-    /// (csr/count/merge/rank phases) and the resulting kernel keeps
-    /// pre-fetched metric handles so queries, contractions, and
-    /// compactions record into the same registry for the rest of its
-    /// life. With `None` this is exactly `build_with_workers` — the
-    /// returned table is bit-identical either way.
-    pub fn build_with_telemetry<F>(
-        g: &WGraph,
-        endpoint_ok: F,
-        workers: usize,
-        rec: Option<&Recorder>,
-    ) -> Self
-    where
-        F: Fn(NodeId) -> bool,
-    {
-        Self::build_pruned(g, endpoint_ok, workers, &[], rec)
-    }
-
-    /// [`build_with_telemetry`][Self::build_with_telemetry] with
-    /// per-node prune floors: `floors[i]` is the lowest level at which
-    /// node `i` will ever be queried as a pair endpoint (0 or 1 = no
-    /// floor). Pairs whose count upper bound — the smaller weighted
-    /// degree — cannot reach the larger of the two endpoint floors are
-    /// never materialized, at build or on contraction, and never appear
-    /// in any [`edges_at_least`][Self::edges_at_least] answer. Sound for
-    /// callers (like the formation sweep) that honor the floor contract;
-    /// with empty floors this is exactly `build_with_telemetry`.
-    pub fn build_pruned<F>(
-        g: &WGraph,
-        endpoint_ok: F,
-        workers: usize,
-        floors: &[u32],
-        rec: Option<&Recorder>,
-    ) -> Self
-    where
-        F: Fn(NodeId) -> bool,
-    {
-        let _build_span = telemetry::span(rec, "kernel.build");
-        let metrics = rec.map(|r| KernelMetrics::register(r.registry()));
-        let started = metrics.as_ref().map(|_| Instant::now());
-
-        let mut eligible = NodeBitSet::with_bound(g.id_bound());
-        for n in g.nodes().filter(|&n| endpoint_ok(n)) {
-            eligible.insert(n);
-        }
-        let csr = {
-            let _s = telemetry::span(rec, "kernel.csr");
-            Csr::snapshot(g)
-        };
-        let source = CsrSource::Weighted(&csr);
-        let prune = PruneTable::new(floors, &source);
-        Self::finish_build(source, eligible, prune, workers, rec, metrics, started)
-    }
-
-    /// Builds the count table directly from a borrowed unit-weight CSR
+    /// Builds the count table from a borrowed unit-weight CSR
     /// (`offsets`/`nbrs` over dense row ids, as produced by
     /// `flow::ConnectionSets::csr()`), with row `i` acting as node id
-    /// `i`. No graph snapshot is taken — the adjacency is read in place.
-    /// Equivalent to building from a [`WGraph`] holding the same edges
-    /// with weight 1 everywhere.
-    pub fn build_from_unit_csr<F>(
-        offsets: &[u32],
-        nbrs: &[u32],
-        endpoint_ok: F,
-        workers: usize,
-        rec: Option<&Recorder>,
-    ) -> Self
-    where
-        F: Fn(NodeId) -> bool,
-    {
-        Self::build_from_unit_csr_pruned(offsets, nbrs, endpoint_ok, workers, &[], rec)
-    }
-
-    /// [`build_from_unit_csr`][Self::build_from_unit_csr] with per-node
-    /// prune floors — see [`build_pruned`][Self::build_pruned] for the
-    /// floor contract.
-    pub fn build_from_unit_csr_pruned<F>(
+    /// `i` of the [`WGraph`] later passed to [`contract`][Self::contract].
+    /// Endpoint eligibility is given by `endpoint_ok`; `workers` is
+    /// clamped to `[1, MAX_WORKERS]` and never changes the table.
+    ///
+    /// `floors[i]` is the lowest level at which node `i` will ever be
+    /// queried as a pair endpoint (missing, 0 or 1 = no floor; empty
+    /// floors prune nothing). Pairs whose count upper bound — the
+    /// smaller degree — cannot reach the larger of the two endpoint
+    /// floors are never materialized, at build or on contraction, and
+    /// never appear in any [`edges_at_least`][Self::edges_at_least]
+    /// answer. Sound for callers (like the formation sweep) that honor
+    /// the floor contract.
+    ///
+    /// With a recorder, the build emits `kernel.build` spans
+    /// (count/merge/rank phases) and the kernel keeps pre-fetched metric
+    /// handles so queries, contractions, and compactions record into the
+    /// same registry for the rest of its life. The table is
+    /// bit-identical with or without one.
+    pub fn build<F>(
         offsets: &[u32],
         nbrs: &[u32],
         endpoint_ok: F,
@@ -790,32 +577,16 @@ impl CommonNeighborKernel {
         let metrics = rec.map(|r| KernelMetrics::register(r.registry()));
         let started = metrics.as_ref().map(|_| Instant::now());
 
-        let rows = offsets.len().saturating_sub(1);
-        let mut eligible = NodeBitSet::with_bound(rows);
-        for i in 0..rows {
+        let csr = Csr { offsets, nbrs };
+        let mut eligible = NodeBitSet::with_bound(csr.row_count());
+        for i in 0..csr.row_count() {
             let n = NodeId::from_index(i);
             if endpoint_ok(n) {
                 eligible.insert(n);
             }
         }
-        let source = CsrSource::Unit { offsets, nbrs };
-        let prune = PruneTable::new(floors, &source);
-        Self::finish_build(source, eligible, prune, workers, rec, metrics, started)
-    }
-
-    /// The shared tail of every build entry: partition, count,
-    /// concatenate, rank, and record build metrics.
-    fn finish_build(
-        csr: CsrSource<'_>,
-        eligible: NodeBitSet,
-        prune: Option<PruneTable>,
-        workers: usize,
-        rec: Option<&Recorder>,
-        metrics: Option<KernelMetrics>,
-        started: Option<Instant>,
-    ) -> Self {
-        let workers = workers.clamp(1, MAX_WORKERS);
-        let chunks = partition_rows(&csr, workers);
+        let prune = PruneTable::new(floors, &csr);
+        let chunks = partition_rows(&csr, workers.clamp(1, MAX_WORKERS));
 
         let count_span = telemetry::span(rec, "kernel.count");
         let prune_ref = prune.as_ref();
@@ -867,15 +638,9 @@ impl CommonNeighborKernel {
             overlay: HashMap::new(),
             eligible,
             prune,
-            workers,
             eligible_watermark,
             metrics,
         }
-    }
-
-    /// The worker count this kernel was built with.
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     /// Returns `true` if `n` is an eligible pair endpoint.
@@ -1212,17 +977,39 @@ mod tests {
         NodeId(i)
     }
 
-    /// Hub 0 → {1, 2, 3} with an extra 1–2 edge, weights 1.
-    fn star_plus_pair() -> WGraph {
-        let mut g = WGraph::new();
-        for _ in 0..4 {
-            g.add_node();
+    /// A unit edge list over `nodes` rows as the kernel's CSR input
+    /// (ascending, deduplicated neighbor rows), plus the equivalent
+    /// weight-1 graph the oracle and contractions run on.
+    fn unit(nodes: usize, edges: &[(u32, u32)]) -> (Vec<u32>, Vec<u32>, WGraph) {
+        let mut rows: Vec<Vec<u32>> = vec![Vec::new(); nodes];
+        for &(a, b) in edges {
+            if a != b {
+                rows[a as usize].push(b);
+                rows[b as usize].push(a);
+            }
         }
-        g.add_edge(n(0), n(1), 1);
-        g.add_edge(n(0), n(2), 1);
-        g.add_edge(n(0), n(3), 1);
-        g.add_edge(n(1), n(2), 1);
-        g
+        let mut g = WGraph::new();
+        g.add_nodes(nodes);
+        let (mut offsets, mut nbrs) = (vec![0u32], Vec::new());
+        for (a, row) in rows.iter_mut().enumerate() {
+            row.sort_unstable();
+            row.dedup();
+            for &b in row.iter().filter(|&&b| b as usize > a) {
+                g.add_edge(n(a as u32), n(b), 1);
+            }
+            nbrs.extend_from_slice(row);
+            offsets.push(nbrs.len() as u32);
+        }
+        (offsets, nbrs, g)
+    }
+
+    fn build(csr: &(Vec<u32>, Vec<u32>, WGraph), workers: usize) -> CommonNeighborKernel {
+        CommonNeighborKernel::build(&csr.0, &csr.1, |_| true, workers, &[], None)
+    }
+
+    /// Hub 0 → {1, 2, 3} with an extra 1–2 edge.
+    fn star_plus_pair() -> (Vec<u32>, Vec<u32>, WGraph) {
+        unit(4, &[(0, 1), (0, 2), (0, 3), (1, 2)])
     }
 
     #[test]
@@ -1243,45 +1030,28 @@ mod tests {
 
     #[test]
     fn build_matches_reference_counts() {
-        let g = star_plus_pair();
-        let kernel = CommonNeighborKernel::build_with_workers(&g, |_| true, 1);
-        assert_eq!(kernel.edges(), common_neighbor_min_weights(&g, |_| true));
-    }
-
-    #[test]
-    fn unit_csr_build_matches_graph_build() {
-        // star_plus_pair as a CSR: rows 0..4, sorted neighbor ids.
-        let offsets: &[u32] = &[0, 3, 5, 7, 8];
-        let nbrs: &[u32] = &[1, 2, 3, 0, 2, 0, 1, 0];
-        let g = star_plus_pair();
-        for workers in [1, 3] {
-            let from_csr =
-                CommonNeighborKernel::build_from_unit_csr(offsets, nbrs, |_| true, workers, None);
-            let from_graph = CommonNeighborKernel::build_with_workers(&g, |_| true, workers);
-            assert_eq!(from_csr.edges(), from_graph.edges());
-        }
-        // Endpoint filtering applies to the CSR path too.
-        let filtered =
-            CommonNeighborKernel::build_from_unit_csr(offsets, nbrs, |x| x != n(0), 2, None);
+        let csr = star_plus_pair();
+        let kernel = build(&csr, 1);
         assert_eq!(
-            filtered.edges(),
-            common_neighbor_min_weights(&g, |x| x != n(0))
+            kernel.edges(),
+            common_neighbor_min_weights(&csr.2, |_| true)
         );
     }
 
     #[test]
-    fn unit_csr_build_handles_empty_inputs() {
-        let empty = CommonNeighborKernel::build_from_unit_csr(&[], &[], |_| true, 2, None);
+    fn build_handles_empty_inputs() {
+        let empty = CommonNeighborKernel::build(&[], &[], |_| true, 2, &[], None);
         assert!(empty.edges().is_empty());
-        let isolated =
-            CommonNeighborKernel::build_from_unit_csr(&[0, 0, 0], &[], |_| true, 2, None);
+        assert_eq!(empty.max_count(), 0);
+        assert_eq!(empty.eligible_count(), 0);
+        let isolated = CommonNeighborKernel::build(&[0, 0, 0], &[], |_| true, 2, &[], None);
         assert!(isolated.edges().is_empty());
     }
 
     #[test]
     fn build_respects_endpoint_filter() {
-        let g = star_plus_pair();
-        let kernel = CommonNeighborKernel::build_with_workers(&g, |x| x != n(0), 2);
+        let (offsets, nbrs, g) = star_plus_pair();
+        let kernel = CommonNeighborKernel::build(&offsets, &nbrs, |x| x != n(0), 2, &[], None);
         assert_eq!(
             kernel.edges(),
             common_neighbor_min_weights(&g, |x| x != n(0))
@@ -1292,31 +1062,28 @@ mod tests {
 
     #[test]
     fn worker_counts_agree() {
-        let mut g = WGraph::new();
-        for _ in 0..40 {
-            g.add_node();
-        }
+        let mut edges = Vec::new();
         for i in 0..40u32 {
             for j in (i + 1)..40 {
                 if (i * 31 + j * 17) % 5 == 0 {
-                    g.add_edge(n(i), n(j), 1 + ((i + j) % 3) as u64);
+                    edges.push((i, j));
                 }
             }
         }
-        let one = CommonNeighborKernel::build_with_workers(&g, |_| true, 1);
-        let four = CommonNeighborKernel::build_with_workers(&g, |_| true, 4);
-        let many = CommonNeighborKernel::build_with_workers(&g, |_| true, 16);
-        assert_eq!(one.edges(), four.edges());
-        assert_eq!(one.edges(), many.edges());
-        assert_eq!(one.edges(), common_neighbor_min_weights(&g, |_| true));
+        let csr = unit(40, &edges);
+        let one = build(&csr, 1);
+        assert_eq!(one.edges(), common_neighbor_min_weights(&csr.2, |_| true));
+        for workers in [4, 16, 10_000] {
+            assert_eq!(one.edges(), build(&csr, workers).edges(), "{workers}");
+        }
     }
 
     #[test]
     fn threshold_view_matches_filtered_recount() {
-        let g = star_plus_pair();
-        let kernel = CommonNeighborKernel::build(&g, |_| true);
+        let csr = star_plus_pair();
+        let kernel = build(&csr, 2);
         for k in 1..4 {
-            let mut expect = common_neighbor_min_weights(&g, |_| true);
+            let mut expect = common_neighbor_min_weights(&csr.2, |_| true);
             expect.retain(|e| e.count >= k);
             assert_eq!(kernel.edges_at_least(k), expect, "level {k}");
         }
@@ -1328,15 +1095,8 @@ mod tests {
         // Figure-2 shape: two servers with three shared clients; after
         // contracting the servers, the clients share a weight-2 group
         // node.
-        let mut g = WGraph::new();
-        for _ in 0..5 {
-            g.add_node();
-        }
-        for c in 2..5 {
-            g.add_edge(n(0), n(c), 1);
-            g.add_edge(n(1), n(c), 1);
-        }
-        let mut kernel = CommonNeighborKernel::build(&g, |_| true);
+        let (offsets, nbrs, mut g) = unit(5, &[(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]);
+        let mut kernel = CommonNeighborKernel::build(&offsets, &nbrs, |_| true, 2, &[], None);
         assert_eq!(kernel.pair_count(n(2), n(3)), 2);
 
         let (m, _) = kernel.contract(&mut g, &[n(0), n(1)]);
@@ -1350,8 +1110,8 @@ mod tests {
 
     #[test]
     fn contract_singleton_preserves_surviving_counts() {
-        let mut g = star_plus_pair();
-        let mut kernel = CommonNeighborKernel::build(&g, |_| true);
+        let (offsets, nbrs, mut g) = star_plus_pair();
+        let mut kernel = CommonNeighborKernel::build(&offsets, &nbrs, |_| true, 2, &[], None);
         let before = kernel.pair_count(n(1), n(2));
         let (m, _) = kernel.contract(&mut g, &[n(3)]);
         // Node 3 was a spoke; the surviving pair counts are unchanged
@@ -1364,18 +1124,14 @@ mod tests {
     /// Hub-heavy graph large enough to cross both compaction triggers:
     /// the pair table exceeds the 2048-entry floor, and batched
     /// contractions (see [`contract_batch`]) first bloat the overlay,
-    /// then halve the eligible population.
-    fn hub_heavy() -> WGraph {
-        let mut g = WGraph::new();
-        for _ in 0..80 {
-            g.add_node();
-        }
-        for h in 0..4u32 {
-            for v in 4..80u32 {
-                g.add_edge(n(h), n(v), 1 + ((h + v) % 3) as u64);
-            }
-        }
-        g
+    /// then halve the eligible population. Every batch leaves a group
+    /// node with weight-5 edges to the hubs, so later levels count
+    /// weighted contributions.
+    fn hub_heavy() -> (Vec<u32>, Vec<u32>, WGraph) {
+        let edges: Vec<(u32, u32)> = (0..4u32)
+            .flat_map(|h| (4..80u32).map(move |v| (h, v)))
+            .collect();
+        unit(80, &edges)
     }
 
     /// Contraction batch `batch` (0..12) of the [`hub_heavy`] graph.
@@ -1386,8 +1142,8 @@ mod tests {
 
     #[test]
     fn compaction_preserves_view() {
-        let mut g = hub_heavy();
-        let mut kernel = CommonNeighborKernel::build_with_workers(&g, |_| true, 2);
+        let (offsets, nbrs, mut g) = hub_heavy();
+        let mut kernel = CommonNeighborKernel::build(&offsets, &nbrs, |_| true, 2, &[], None);
         assert!(kernel.edges().len() > 2048);
 
         for batch in 0..12u32 {
@@ -1406,9 +1162,9 @@ mod tests {
     fn compaction_leaves_emitted_pairs_alone() {
         // Compaction rewrites the `base_pairs` gauge; the cumulative count
         // of pairs the build emitted must not move.
-        let mut g = hub_heavy();
+        let (offsets, nbrs, mut g) = hub_heavy();
         let rec = Recorder::new();
-        let mut kernel = CommonNeighborKernel::build_with_telemetry(&g, |_| true, 2, Some(&rec));
+        let mut kernel = CommonNeighborKernel::build(&offsets, &nbrs, |_| true, 2, &[], Some(&rec));
         let reg = rec.registry();
         let emitted = || {
             reg.counter("roleclass_kernel_base_pairs_emitted_total")
@@ -1424,42 +1180,43 @@ mod tests {
         assert_eq!(emitted(), built);
     }
 
-    /// Hub 0 → spokes 1..=6 with weight(0,i) = i, so pair (i, j) has
-    /// count min(i, j) and spoke i has weighted degree i.
-    fn weighted_star() -> WGraph {
-        let mut g = WGraph::new();
-        for _ in 0..7 {
-            g.add_node();
-        }
-        for i in 1..7u32 {
-            g.add_edge(n(0), n(i), i as u64);
-        }
-        g
+    /// Clients 1..=6 and servers 7..=12: client `i` talks to the first
+    /// `i` servers, so it has degree `i` and clients `i`, `j` share
+    /// `min(i, j)` servers.
+    fn staircase() -> (Vec<u32>, Vec<u32>, WGraph) {
+        let edges: Vec<(u32, u32)> = (1..=6u32)
+            .flat_map(|c| (0..c).map(move |s| (c, 7 + s)))
+            .collect();
+        unit(13, &edges)
     }
+
+    /// Clients floor at 3, servers never: pair `(i, j)` of clients can
+    /// count at most `min(i, j)`, so pairs touching clients 1 or 2 are
+    /// pruned.
+    const STAIRCASE_FLOORS: [u32; 13] = [0, 3, 3, 3, 3, 3, 3, 0, 0, 0, 0, 0, 0];
 
     #[test]
     fn trivial_floors_never_prune() {
-        let g = weighted_star();
-        let plain = CommonNeighborKernel::build_with_workers(&g, |_| true, 2);
-        let pruned =
-            CommonNeighborKernel::build_pruned(&g, |_| true, 2, &[1, 0, 1, 1, 1, 1, 1], None);
-        assert_eq!(plain.edges(), pruned.edges());
+        let (offsets, nbrs, g) = staircase();
+        let floors = [1, 0, 1, 1, 1, 1, 1, 1, 0, 1, 1, 1, 1];
+        let kernel = CommonNeighborKernel::build(&offsets, &nbrs, |_| true, 2, &floors, None);
+        assert_eq!(kernel.edges(), common_neighbor_min_weights(&g, |_| true));
     }
 
     #[test]
     fn pruned_build_suppresses_only_unreachable_pairs() {
-        let g = weighted_star();
-        // Every spoke floors at 3: pair (i, j) can count at most
-        // min(i, j), so pairs touching spokes 1 or 2 are pruned.
-        let floors = [0, 3, 3, 3, 3, 3, 3];
-        let kernel = CommonNeighborKernel::build_pruned(&g, |x| x != n(0), 2, &floors, None);
-        let reference = common_neighbor_min_weights(&g, |x| x != n(0));
+        let (offsets, nbrs, g) = staircase();
+        let client = |x: NodeId| (1..=6).contains(&x.0);
+        let kernel =
+            CommonNeighborKernel::build(&offsets, &nbrs, client, 2, &STAIRCASE_FLOORS, None);
+        let reference = common_neighbor_min_weights(&g, client);
         // Below the floor the pruned view is a subset...
         let surviving: Vec<_> = reference
             .iter()
             .filter(|e| e.a.0 >= 3 && e.b.0 >= 3)
             .cloned()
             .collect();
+        assert!(surviving.len() < reference.len());
         assert_eq!(kernel.edges(), surviving);
         // ...and at any level the floors admit, the answers agree exactly:
         // a pruned pair's count is below every such level by construction.
@@ -1472,54 +1229,47 @@ mod tests {
 
     #[test]
     fn pruned_kernel_counts_pruned_paths() {
-        let g = weighted_star();
+        let (offsets, nbrs, _) = staircase();
         let rec = Recorder::new();
-        let floors = [0, 3, 3, 3, 3, 3, 3];
-        let _kernel = CommonNeighborKernel::build_pruned(&g, |x| x != n(0), 2, &floors, Some(&rec));
+        let _kernel = CommonNeighborKernel::build(
+            &offsets,
+            &nbrs,
+            |_| true,
+            2,
+            &STAIRCASE_FLOORS,
+            Some(&rec),
+        );
         let pruned = rec
             .registry()
             .counter("roleclass_kernel_pruned_paths_total")
             .get();
-        // Pairs {1,2}×{1..6} minus the (1,2) double-count: each pruned
-        // pair is one suppressed two-path through the hub.
-        assert_eq!(pruned, 9);
+        // One suppressed two-path per shared server: pairs (1, 2..=6)
+        // share one server each, pairs (2, 3..=6) two each.
+        assert_eq!(pruned, 5 + 4 * 2);
     }
 
     #[test]
     fn pruned_kernel_stays_consistent_through_contraction() {
         // Two servers sharing three clients, plus a leaf hanging off one
-        // client. The leaf's weighted degree is 1, so with floor 2
-        // everywhere its pairs are pruned — including pairs with the
-        // servers that a contraction later subtracts and re-adds.
-        let mut g = WGraph::new();
-        for _ in 0..6 {
-            g.add_node();
-        }
-        for c in 2..5 {
-            g.add_edge(n(0), n(c), 1);
-            g.add_edge(n(1), n(c), 1);
-        }
-        g.add_edge(n(2), n(5), 1);
+        // client. The leaf's degree is 1, so with floor 2 everywhere its
+        // pairs are pruned — including pairs with the servers that a
+        // contraction later subtracts and re-adds.
+        let (offsets, nbrs, mut g) =
+            unit(6, &[(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 5)]);
         let floors = [2u32; 6];
-        let mut kernel = CommonNeighborKernel::build_pruned(&g, |_| true, 2, &floors, None);
+        let mut kernel = CommonNeighborKernel::build(&offsets, &nbrs, |_| true, 2, &floors, None);
 
         let (m, _) = kernel.contract(&mut g, &[n(0), n(1)]);
         assert!(!kernel.is_eligible(m));
-        let fresh = common_neighbor_min_weights(&g, |x| kernel.is_eligible(x));
+        let mut fresh = common_neighbor_min_weights(&g, |x| kernel.is_eligible(x));
         for k in 2..=3 {
             let mut expect = fresh.clone();
             expect.retain(|e| e.count >= k);
             assert_eq!(kernel.edges_at_least(k), expect, "level {k}");
         }
-    }
-
-    #[test]
-    fn empty_graph_builds_empty_kernel() {
-        let g = WGraph::new();
-        let kernel = CommonNeighborKernel::build(&g, |_| true);
-        assert!(kernel.edges().is_empty());
-        assert_eq!(kernel.max_count(), 0);
-        assert_eq!(kernel.eligible_count(), 0);
+        // At level 1 the leaf's pairs are exactly what is missing.
+        fresh.retain(|e| e.a != n(5) && e.b != n(5));
+        assert_eq!(kernel.edges(), fresh);
     }
 
     #[test]
@@ -1530,10 +1280,10 @@ mod tests {
 
     #[test]
     fn telemetry_build_is_bit_identical_and_records() {
-        let mut g = star_plus_pair();
+        let (offsets, nbrs, mut g) = star_plus_pair();
         let rec = Recorder::new();
-        let plain = CommonNeighborKernel::build_with_workers(&g, |_| true, 2);
-        let mut traced = CommonNeighborKernel::build_with_telemetry(&g, |_| true, 2, Some(&rec));
+        let plain = CommonNeighborKernel::build(&offsets, &nbrs, |_| true, 2, &[], None);
+        let mut traced = CommonNeighborKernel::build(&offsets, &nbrs, |_| true, 2, &[], Some(&rec));
         assert_eq!(plain.edges(), traced.edges());
 
         traced.contract(&mut g, &[n(3)]);
@@ -1560,9 +1310,6 @@ mod tests {
         let spans = rec.spans();
         assert_eq!(spans[0].name, "kernel.build");
         let phases: Vec<&str> = spans[0].children.iter().map(|c| c.name.as_str()).collect();
-        assert_eq!(
-            phases,
-            ["kernel.csr", "kernel.count", "kernel.merge", "kernel.rank"]
-        );
+        assert_eq!(phases, ["kernel.count", "kernel.merge", "kernel.rank"]);
     }
 }

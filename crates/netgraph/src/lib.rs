@@ -44,6 +44,7 @@ pub use id::NodeId;
 pub use kcore::{core_numbers, degeneracy, k_core};
 pub use kernel::{
     default_worker_count, CommonNeighborKernel, KernelMetrics, NodeBitSet, KERNEL_METRIC_NAMES,
+    MAX_WORKERS,
 };
 pub use simple::SimpleGraph;
 pub use unionfind::UnionFind;

@@ -396,9 +396,9 @@ impl BackendKind {
 }
 
 /// Typed storage configuration: which backend, where it lives, and how
-/// much history each namespace class retains. Mirrors the
-/// `EngineConfig` idiom — serde-able, builder-style `with_*`, opened
-/// into a live backend with [`StorageConfig::open`].
+/// much history each namespace class retains. Plain serde-able data
+/// with builder-style `with_*` setters, opened into a live backend with
+/// [`StorageConfig::open`].
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct StorageConfig {
     /// Backend implementation.

@@ -14,7 +14,8 @@
 //!
 //! * **Appends** go to the active (newest) segment, flushed per record;
 //!   a crash can tear only the final record of the active segment,
-//!   which open-time validation truncates away. A torn or corrupt
+//!   or leave a zero-filled tail after it; open-time validation
+//!   truncates either away. A torn or corrupt
 //!   record anywhere else — in a sealed segment, or inside the active
 //!   one with valid bytes after it — is reported as
 //!   [`StorageError::Corrupt`].
@@ -171,15 +172,19 @@ fn walk(bytes: &[u8], mut offset: usize, mut visit: impl FnMut(u64, u64, &[u8]) 
 }
 
 /// True when the invalid record at `offset` is the file's torn tail:
-/// its header or payload is incomplete, or it fails its checksum but
-/// ends exactly at EOF. An invalid record with bytes after it is
-/// corruption, not a torn append.
+/// its header or payload is incomplete, it fails its checksum but ends
+/// exactly at EOF, or every byte from `offset` to EOF is zero (some
+/// filesystems zero-fill the unwritten tail after a power cut). Zero
+/// bytes can never form a valid record — an empty payload's checksum is
+/// `fnv1a(b"") = 0x811c9dc5`, not the zero the header would carry. Any
+/// other invalid record with bytes after it is corruption, not a torn
+/// append.
 fn is_torn_tail(bytes: &[u8], offset: usize) -> bool {
     let Some(header) = bytes.get(offset..offset + REC_HEADER) else {
         return true;
     };
     let len = u32::from_be_bytes(header[..4].try_into().unwrap()) as usize;
-    offset + REC_HEADER + len >= bytes.len()
+    offset + REC_HEADER + len >= bytes.len() || bytes[offset..].iter().all(|&b| b == 0)
 }
 
 impl SegmentBackend {

@@ -149,6 +149,75 @@ fn segment_active_interior_corruption_is_detected_not_misread() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// Appends `bytes` to the file at `path`.
+fn append_bytes(path: &Path, bytes: &[u8]) {
+    let mut all = fs::read(path).unwrap();
+    all.extend_from_slice(bytes);
+    fs::write(path, all).unwrap();
+}
+
+#[test]
+fn segment_zero_filled_active_tail_is_torn_not_corrupt() {
+    // A power cut can leave the active segment's unwritten tail
+    // zero-filled. Zero bytes never form a valid record, so an all-zero
+    // run to EOF is dropped on open like any torn append.
+    let log = NamespaceProfile::log(Retention::unbounded());
+    let records = |keys: std::ops::Range<u64>| -> Vec<(u64, Vec<u8>)> {
+        keys.map(|k| (k, format!("value-{k}").into_bytes()))
+            .collect()
+    };
+    let dir = temp_dir("seg-zero-tail");
+    {
+        let b = SegmentBackend::new(&dir).unwrap();
+        b.define("log", log).unwrap();
+        for (key, value) in records(0..5) {
+            b.append("log", key, &value).unwrap();
+        }
+        b.flush().unwrap();
+    }
+    let seg = only_segment(&dir.join("log"));
+    let clean = fs::read(&seg).unwrap();
+    append_bytes(&seg, &[0u8; 4096]);
+    {
+        let b = SegmentBackend::new(&dir).unwrap();
+        b.define("log", log).unwrap();
+        assert_eq!(scan_all(&b), records(0..5));
+        b.append("log", 5, b"value-5").unwrap();
+        b.flush().unwrap();
+    }
+    let b = SegmentBackend::new(&dir).unwrap();
+    b.define("log", log).unwrap();
+    assert_eq!(
+        scan_all(&b),
+        records(0..6),
+        "append after truncation survives"
+    );
+    drop(b);
+
+    // A zero run followed by anything non-zero is not a torn tail.
+    fs::write(&seg, &clean).unwrap();
+    let mut damaged = vec![0u8; 4096];
+    damaged.push(1);
+    append_bytes(&seg, &damaged);
+    expect_corrupt(&SegmentBackend::new(&dir).unwrap(), "log", log);
+    let _ = fs::remove_dir_all(&dir);
+
+    // A zero run in a sealed segment is corruption, never truncated.
+    let dir = temp_dir("seg-zero-sealed");
+    build_compacted(&dir);
+    let oldest = fs::read_dir(dir.join("log"))
+        .unwrap()
+        .filter_map(|e| e.ok())
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "seg"))
+        .min()
+        .unwrap();
+    append_bytes(&oldest, &[0u8; 4096]);
+    let b = SegmentBackend::with_options(&dir, small()).unwrap();
+    expect_corrupt(&b, "log", log);
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn segment_crash_before_compaction_rename_discards_tmp() {
     let dir = temp_dir("seg-tmp");

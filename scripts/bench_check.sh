@@ -9,8 +9,10 @@
 # Scope: the dataplane bench runs in --quick mode (1k/5k/10k hosts; the
 # committed 100k row is compared only when a fresh row exists for it),
 # and the pipeline bench runs in full mode so its ~5k-host row matches
-# the committed artifact. ROLECLASS_THREADS is pinned to 1 to match how
-# the committed artifacts were measured.
+# the committed artifact. ROLECLASS_THREADS is set to the worker count
+# recorded in the committed BENCH_pipeline.json, and any committed row
+# measured at a different count is skipped with a note rather than
+# compared across worker counts.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -19,7 +21,9 @@ THRESHOLD_PCT="${BENCH_CHECK_THRESHOLD_PCT:-25}"
 # milliseconds swing far more than 25% run to run and would drown the
 # signal in noise.
 MIN_SECS="${BENCH_CHECK_MIN_SECS:-0.1}"
-export ROLECLASS_THREADS=1
+WORKERS="$(python3 -c 'import json; print(json.load(open("BENCH_pipeline.json"))["workers"])')"
+export ROLECLASS_THREADS="$WORKERS"
+echo "==> bench_check: $WORKERS worker(s), as in the committed BENCH_pipeline.json"
 
 echo "==> bench_check: building bench binaries (release)"
 cargo build --release -q -p bench --bin dataplane_bench --bin pipeline_stages
@@ -98,6 +102,12 @@ for row in dp_fresh["current"]:
     if abs(base["hosts"] - row["hosts"]) > 0.2 * row["hosts"]:
         continue
     label = f"dataplane[{base['hosts']} hosts]"
+    if base.get("workers") != row.get("workers"):
+        print(
+            f"bench_check: {label} was committed at {base.get('workers')} worker(s), "
+            f"fresh run used {row.get('workers')}; skipping"
+        )
+        continue
     compare(label, "build_secs", base["build_secs"], row["build_secs"])
     compare(label, "window_secs", base["window_secs"], row["window_secs"])
     for stage, secs in row.get("stages", {}).items():
@@ -109,7 +119,12 @@ for row in dp_fresh["current"]:
 # (hosts and window count) matches the committed run.
 pipe_fresh = json.load(open(pipe_fresh_path))
 pipe_committed = json.load(open("BENCH_pipeline.json"))
-if (pipe_fresh["hosts"], pipe_fresh["windows"]) == (
+if pipe_fresh.get("workers") != pipe_committed.get("workers"):
+    print(
+        f"bench_check: pipeline was committed at {pipe_committed.get('workers')} worker(s), "
+        f"fresh run used {pipe_fresh.get('workers')}; skipping stage diff"
+    )
+elif (pipe_fresh["hosts"], pipe_fresh["windows"]) == (
     pipe_committed["hosts"],
     pipe_committed["windows"],
 ):

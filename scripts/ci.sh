@@ -91,12 +91,12 @@ cargo test -q -p aggregator --test wire_chaos --test frame_codec_properties
 
 # The kernel must be a pure throughput knob: its counts, the Engine's
 # classifications, and every correlation are identical at any worker
-# count and prune setting. The worker matrix (1, 2, 8 workers ×
-# prune auto/off) runs in-process via EngineConfig — the engine crates
-# no longer read ROLECLASS_THREADS, so one invocation covers the whole
-# grid (see classification_is_bit_identical_across_worker_matrix and
-# the pruned_* kernel properties).
-echo "==> kernel + engine equivalence across the worker/prune matrix"
+# count. The worker matrix (1, 2, 8 workers) runs in-process via
+# EngineConfig — the engine crates never read ROLECLASS_THREADS, so one
+# invocation covers the whole grid (see
+# classification_is_bit_identical_across_worker_matrix and the pruned_*
+# kernel properties, which pin pruning against the unpruned oracle).
+echo "==> kernel + engine equivalence across the worker matrix"
 cargo test -q -p netgraph --test kernel_properties
 cargo test -q -p roleclass --test engine_equivalence
 

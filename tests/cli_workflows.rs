@@ -471,6 +471,19 @@ fn probe_send_streams_into_ingest_listen() {
     assert!(out.contains("probe edge"), "{out}");
 }
 
+/// The pruning switch is gone: the kernel always prunes, which never
+/// changes results. Passing it is an unknown-flag usage error.
+const REMOVED_PRUNE_FLAG: &str = "--no-prune";
+
+/// Asserts `argv` plus the removed pruning switch is a usage error.
+fn assert_prune_flag_rejected(argv: &[&str]) {
+    let mut argv = args(argv);
+    argv.push(REMOVED_PRUNE_FLAG.to_string());
+    let err = run(&argv).unwrap_err();
+    assert_eq!(err.code, 2, "{argv:?}: {}", err.message);
+    assert!(err.message.contains(REMOVED_PRUNE_FLAG), "{}", err.message);
+}
+
 #[test]
 fn worker_and_prune_flags_do_not_change_results() {
     let dir = workdir("tuning");
@@ -480,19 +493,23 @@ fn worker_and_prune_flags_do_not_change_results() {
         "classify", "--input", path, "--s-lo", "90", "--s-hi", "95",
     ]))
     .unwrap();
-    // The engine guarantees bit-identical output for any worker count
-    // and with pruning disabled; the CLI must only route the knobs.
-    for extra in [
-        &["--workers", "1"][..],
-        &["--workers", "2"][..],
-        &["--workers", "8"][..],
-        &["--no-prune"][..],
-        &["--workers", "2", "--no-prune"][..],
-    ] {
-        let mut argv = args(&["classify", "--input", path, "--s-lo", "90", "--s-hi", "95"]);
-        argv.extend(extra.iter().map(|s| s.to_string()));
-        assert_eq!(run(&argv).unwrap(), baseline, "flags: {extra:?}");
+    // The engine guarantees bit-identical output for any worker count;
+    // the CLI must only route the knob.
+    for workers in ["1", "2", "8"] {
+        let argv = args(&[
+            "classify",
+            "--input",
+            path,
+            "--s-lo",
+            "90",
+            "--s-hi",
+            "95",
+            "--workers",
+            workers,
+        ]);
+        assert_eq!(run(&argv).unwrap(), baseline, "--workers {workers}");
     }
+    assert_prune_flag_rejected(&["classify", "--input", path, "--workers", "2"]);
 }
 
 #[test]
@@ -511,7 +528,7 @@ fn tuning_flags_parse_on_every_subcommand() {
     let inputs = write_inputs(&dir);
     let (path, _) = &inputs[0];
     let snap = dir.join("snap.json").to_string_lossy().into_owned();
-    run(&args(&[
+    let classify = [
         "classify",
         "--input",
         path,
@@ -519,10 +536,9 @@ fn tuning_flags_parse_on_every_subcommand() {
         &snap,
         "--workers",
         "2",
-        "--no-prune",
-    ]))
-    .unwrap();
-    run(&args(&[
+    ];
+    run(&args(&classify)).unwrap();
+    let correlate = [
         "correlate",
         "--prev",
         &snap,
@@ -530,25 +546,20 @@ fn tuning_flags_parse_on_every_subcommand() {
         path,
         "--workers",
         "2",
-        "--no-prune",
-    ]))
-    .unwrap();
-    run(&args(&[
-        "metrics",
-        "--input",
-        path,
-        "--workers",
-        "2",
-        "--no-prune",
-    ]))
-    .unwrap();
+    ];
+    run(&args(&correlate)).unwrap();
+    let metrics = ["metrics", "--input", path, "--workers", "2"];
+    run(&args(&metrics)).unwrap();
+    for argv in [&classify[..], &correlate[..], &metrics[..]] {
+        assert_prune_flag_rejected(argv);
+    }
 }
 
 #[test]
 fn usage_documents_engine_tuning() {
     let usage = run(&args(&["help"])).unwrap();
     assert!(usage.contains("--workers"), "{usage}");
-    assert!(usage.contains("--no-prune"), "{usage}");
+    assert!(!usage.contains(REMOVED_PRUNE_FLAG), "{usage}");
 }
 
 #[test]
