@@ -19,7 +19,7 @@
 //! baseline recorded below — `scripts/bench.sh` stores it as
 //! `BENCH_dataplane.json`.
 
-use bench::{banner, quick_mode, render_table, workers_from_env};
+use bench::{banner, peak_rss_mb, quick_mode, render_table, workers_from_env};
 use flow::ConnsetBuilder;
 use roleclass::{Engine, EngineConfig, Params};
 use std::collections::BTreeMap;
@@ -77,6 +77,9 @@ struct Measurement {
     /// Work counters for the timed window (name -> value), from the
     /// same rep: what each stage's time divides by to get a unit cost.
     counters: BTreeMap<&'static str, u64>,
+    /// Process peak RSS (VmHWM) after this size ran, in MiB. Sizes run
+    /// in ascending order, so the peak is this size's own.
+    peak_rss_mb: f64,
 }
 
 /// Flattens the last `engine.run_window` span tree into name -> secs.
@@ -107,9 +110,15 @@ fn work_counters(rec: &Recorder) -> BTreeMap<&'static str, u64> {
                 .get(),
         ),
         (
+            "merge_below_floor",
+            reg.counter("roleclass_engine_merge_below_floor_total")
+                .get(),
+        ),
+        (
             "merge_heap_pops",
             reg.counter("roleclass_engine_merge_heap_pops_total").get(),
         ),
+        ("merges", reg.counter("roleclass_engine_merges_total").get()),
         (
             "kernel_pairs_emitted",
             reg.counter("roleclass_kernel_base_pairs_emitted_total")
@@ -188,6 +197,7 @@ fn measure(n: usize, reps: usize, cfg: &EngineConfig) -> Measurement {
         window_secs,
         stages,
         counters,
+        peak_rss_mb: peak_rss_mb(),
     }
 }
 
@@ -209,11 +219,12 @@ fn main() {
     for &(n, reps) in sizes {
         let m = measure(n, reps, &cfg);
         println!(
-            "{} hosts: build {:.1} ms, window {:.1} ms ({} records)",
+            "{} hosts: build {:.1} ms, window {:.1} ms ({} records), peak RSS {:.0} MiB",
             m.hosts,
             m.build_secs * 1e3,
             m.window_secs * 1e3,
-            m.records
+            m.records,
+            m.peak_rss_mb
         );
         results.push(m);
     }
@@ -241,6 +252,7 @@ fn main() {
                 m.records.to_string(),
                 format!("{:.3}", m.build_secs * 1e3),
                 format!("{:.3}", m.window_secs * 1e3),
+                format!("{:.0}", m.peak_rss_mb),
                 speedup,
             ]
         })
@@ -249,7 +261,14 @@ fn main() {
     println!(
         "{}",
         render_table(
-            &["hosts", "records", "build ms", "window ms", "vs baseline"],
+            &[
+                "hosts",
+                "records",
+                "build ms",
+                "window ms",
+                "peak RSS MiB",
+                "vs baseline"
+            ],
             &rows
         )
     );
@@ -276,9 +295,9 @@ fn main() {
                 .join(",");
             format!(
                 "{{\"hosts\":{},\"build_secs\":{:.6},\"window_secs\":{:.6},\
-\"workers\":{workers},\"stages\":{{{stages}}},\
+\"peak_rss_mb\":{:.1},\"workers\":{workers},\"stages\":{{{stages}}},\
 \"counters\":{{{counters}}}}}",
-                m.hosts, m.build_secs, m.window_secs
+                m.hosts, m.build_secs, m.window_secs, m.peak_rss_mb
             )
         })
         .collect::<Vec<_>>()

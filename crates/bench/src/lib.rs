@@ -50,6 +50,21 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, t0.elapsed().as_secs_f64())
 }
 
+/// Peak resident set size (`VmHWM` in `/proc/self/status`) of this
+/// process so far, in MiB; 0 where the file is unavailable. The mark
+/// never falls, so a bench that runs its sizes in ascending order can
+/// read it after each size and attribute the value to that size.
+pub fn peak_rss_mb() -> f64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find_map(|l| l.strip_prefix("VmHWM:"))
+                .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok())
+        })
+        .map_or(0.0, |kb| kb / 1024.0)
+}
+
 /// Returns `true` when the experiment should run at reduced scale
 /// (`--quick` argument or `EXP_QUICK=1`).
 pub fn quick_mode() -> bool {
@@ -127,6 +142,16 @@ mod tests {
     #[should_panic(expected = "row width mismatch")]
     fn table_rejects_ragged_rows() {
         render_table(&["a", "b"], &[vec!["x".into()]]);
+    }
+
+    #[test]
+    fn peak_rss_is_non_negative_and_never_falls() {
+        let first = peak_rss_mb();
+        let buf = vec![1u8; 1 << 20];
+        let second = peak_rss_mb();
+        assert!(first >= 0.0);
+        assert!(second >= first);
+        drop(buf);
     }
 
     #[test]

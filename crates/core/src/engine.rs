@@ -65,6 +65,7 @@ pub const ENGINE_METRIC_NAMES: &[&str] = &[
     "roleclass_engine_ids_carried_total",
     "roleclass_engine_ids_minted_total",
     "roleclass_engine_ids_retired_total",
+    "roleclass_engine_merge_below_floor_total",
     "roleclass_engine_merge_heap_pops_total",
     "roleclass_engine_merge_seconds",
     "roleclass_engine_merges_total",

@@ -133,6 +133,28 @@ pub struct MergeOutcome {
     pub node_of_group: Vec<NodeId>,
 }
 
+/// The merging bookkeeping of every formed group, keyed by its node.
+fn group_infos(cs: &ConnectionSets, formation: &FormationResult) -> NodeMap<NodeId, GroupInfo> {
+    let mut info = NodeMap::default();
+    for (pg, &node) in formation.groups.iter().zip(&formation.node_of_group) {
+        let degs: Vec<u32> = pg
+            .members
+            .iter()
+            .map(|h| cs.degree(*h).unwrap_or(0) as u32)
+            .collect();
+        info.insert(
+            node,
+            GroupInfo {
+                members: pg.members.clone(),
+                k: pg.k,
+                sum_deg: degs.iter().map(|&d| d as u64).sum(),
+                min_deg: degs.iter().copied().min().unwrap_or(0),
+            },
+        );
+    }
+    info
+}
+
 /// Computes the Figure 3 `SIMILARITY(G1, G2)` on the current group graph.
 ///
 /// Returns a value in `[0, 100]`. See [`SimilarityVariant`] for the two
@@ -270,41 +292,49 @@ pub(crate) fn merge_groups_validated(
     merge_groups_with(cs, formation, &EngineConfig::new(*params), None)
 }
 
+/// The merge floor. `Params::validate` enforces `S^lo < S^hi`, so every
+/// threshold `MEETSIMILARITYREQ` can apply is at least `S^lo`: a pair
+/// below it can never merge, whatever its K labels. A zero similarity
+/// never merges either, even at `S^lo = 0`.
+fn reaches_floor(s_lo: f64, sim: f64) -> bool {
+    sim > 0.0 && sim >= s_lo
+}
+
 /// Scores every pair's similarity, splitting the (sorted, deduplicated)
-/// pair list into contiguous chunks across scoped worker threads.
-/// Each score is a pure function of the shared immutable graph and
-/// group table, and chunk results are concatenated in chunk order, so
-/// the output is bit-identical at any worker count.
+/// pair list into contiguous chunks across scoped worker threads, and
+/// keeps only the pairs that reach the floor. Each score is a pure
+/// function of the shared immutable graph and group table, and chunk
+/// results are concatenated in chunk order, so the output is
+/// bit-identical at any worker count.
 fn score_pairs(
     g: &WGraph,
     info: &NodeMap<NodeId, GroupInfo>,
     wdeg: &[u64],
-    variant: SimilarityVariant,
+    params: &Params,
     pairs: &[(NodeId, NodeId)],
     workers: usize,
-) -> Vec<f64> {
+) -> Vec<((NodeId, NodeId), f64)> {
+    let score = |part: &[(NodeId, NodeId)]| -> Vec<((NodeId, NodeId), f64)> {
+        part.iter()
+            .filter_map(|&(x, y)| {
+                let s = similarity(g, info, wdeg, params.similarity, x, y);
+                reaches_floor(params.s_lo, s).then_some(((x, y), s))
+            })
+            .collect()
+    };
     // Don't spin up threads for workloads where the spawn overhead
     // dominates; the cutoff cannot change the result, only the split.
     const MIN_PAIRS_PER_WORKER: usize = 128;
     let workers = workers.clamp(1, (pairs.len() / MIN_PAIRS_PER_WORKER).max(1));
     if workers == 1 {
-        return pairs
-            .iter()
-            .map(|&(x, y)| similarity(g, info, wdeg, variant, x, y))
-            .collect();
+        return score(pairs);
     }
     let chunk = pairs.len().div_ceil(workers);
-    let mut out = Vec::with_capacity(pairs.len());
+    let mut out = Vec::new();
     std::thread::scope(|s| {
         let handles: Vec<_> = pairs
             .chunks(chunk)
-            .map(|part| {
-                s.spawn(move || {
-                    part.iter()
-                        .map(|&(x, y)| similarity(g, info, wdeg, variant, x, y))
-                        .collect::<Vec<f64>>()
-                })
-            })
+            .map(|part| s.spawn(move || score(part)))
             .collect();
         for h in handles {
             out.extend(h.join().expect("merge scoring worker panicked"));
@@ -313,164 +343,132 @@ fn score_pairs(
     out
 }
 
-/// [`merge_groups_validated`] with an optional recorder: emits one
-/// `merge_considered` provenance event per genuinely considered pair —
-/// accepted *and* rejected, with the Figure 3 gate that decided it. Pops
-/// that die on liveness or staleness (the lazy-heap bookkeeping, not the
-/// algorithm) emit nothing. With `None` the phase is exactly the
-/// uninstrumented one.
-pub(crate) fn merge_groups_with(
-    cs: &ConnectionSets,
-    formation: FormationResult,
-    cfg: &EngineConfig,
-    rec: Option<&telemetry::Recorder>,
-) -> MergeOutcome {
-    let params = &cfg.params;
-    let mut g = formation.graph;
-    let mut info: NodeMap<NodeId, GroupInfo> = NodeMap::default();
-    for (idx, pg) in formation.groups.iter().enumerate() {
-        let degs: Vec<u32> = pg
-            .members
-            .iter()
-            .map(|h| cs.degree(*h).unwrap_or(0) as u32)
-            .collect();
-        info.insert(
-            formation.node_of_group[idx],
-            GroupInfo {
-                members: pg.members.clone(),
-                k: pg.k,
-                sum_deg: degs.iter().map(|&d| d as u64).sum(),
-                min_deg: degs.iter().copied().min().unwrap_or(0),
-            },
-        );
+/// Heap key: highest similarity first, ties toward the smallest node
+/// pair — the order a full ascending scan would produce.
+type HeapEntry = (OrdSim, Reverse<(NodeId, NodeId)>);
+
+/// The merge candidates: every pair whose similarity reached the floor
+/// at its last scoring, selected through a lazy max-heap.
+///
+/// `sims` is the source of truth. A heap entry is current only while it
+/// matches its pair's `sims` value; superseded entries and entries whose
+/// endpoints were contracted away are discarded when they pop, or in
+/// bulk by compaction. Pairs below the floor are never stored, and a
+/// rescore that drops a stored pair below it removes the pair, so no
+/// older heap entry for it can pop as current. Every entry discarded
+/// that way would have failed `MEETSIMILARITYREQ` at pop time, and its
+/// K labels and member averages cannot change while it is live, so the
+/// merge sequence is the one an ungated heap produces.
+struct Candidates {
+    s_lo: f64,
+    sims: NodeMap<(NodeId, NodeId), f64>,
+    heap: BinaryHeap<HeapEntry>,
+    /// Heap length that triggers the next compaction.
+    compact_at: usize,
+    /// Heap pops — live, stale, and dead alike — the work measure of
+    /// the agglomeration loop: the profile layer divides merge wall
+    /// time by this to get a ns/pop unit cost.
+    heap_pops: u64,
+    /// Scorings, initial and rescores alike, that fell below the floor.
+    below_floor: u64,
+}
+
+impl Candidates {
+    /// Seeds the candidates from the initial scoring's survivors;
+    /// `below_floor` counts the scored pairs that did not survive.
+    fn new(s_lo: f64, scored: Vec<((NodeId, NodeId), f64)>, below_floor: u64) -> Self {
+        let sims = scored.iter().copied().collect();
+        // Heapify in one pass; pop order is fully determined by the
+        // `HeapEntry` total order, so construction strategy cannot
+        // change the merge sequence.
+        let heap: BinaryHeap<HeapEntry> = scored
+            .into_iter()
+            .map(|(pair, s)| (OrdSim::new(s), Reverse(pair)))
+            .collect::<Vec<_>>()
+            .into();
+        Candidates {
+            s_lo,
+            sims,
+            compact_at: (2 * heap.len()).max(1 << 20),
+            heap,
+            heap_pops: 0,
+            below_floor,
+        }
     }
 
-    // All candidate similarities, computed once and then maintained
-    // incrementally: a merge only perturbs pairs involving the merged
-    // node or its neighbors. The initial pass — by far the largest
-    // batch — is scored across worker threads over the deduplicated,
-    // sorted pair list. Selection runs through a lazy max-heap —
-    // entries are invalidated by value mismatch against `sims` (the
-    // source of truth) rather than removed, keeping each merge near
-    // O(affected · log). Ties break toward the smallest node pair, the
-    // same order a full ascending scan would produce.
-    let pairs: Vec<(NodeId, NodeId)> = {
-        let _s = telemetry::span(rec, "merge.candidates");
-        let mut pairs = Vec::new();
-        for x in g.nodes() {
-            for (via, _) in g.neighbors(x) {
-                for (y, _) in g.neighbors(via) {
-                    if y > x {
-                        pairs.push((x, y));
-                    }
-                }
+    /// Records the first score of a pair involving a freshly contracted
+    /// node. `WGraph::contract` never reuses node ids, so the pair
+    /// cannot already be stored.
+    fn insert_fresh(&mut self, pair: (NodeId, NodeId), s: f64) {
+        if reaches_floor(self.s_lo, s) {
+            self.sims.insert(pair, s);
+            self.heap.push((OrdSim::new(s), Reverse(pair)));
+        } else {
+            self.below_floor += 1;
+        }
+    }
+
+    /// Records a rescored pair. At or above the floor the new value
+    /// replaces the stored one, and a heap entry is pushed only if the
+    /// value moved: an unchanged pair's entry is still queued, or it
+    /// already popped and was rejected on inputs that cannot have
+    /// changed. Below the floor the pair leaves `sims`.
+    fn rescore(&mut self, pair: (NodeId, NodeId), s: f64) {
+        if reaches_floor(self.s_lo, s) {
+            if self.sims.insert(pair, s) != Some(s) {
+                self.heap.push((OrdSim::new(s), Reverse(pair)));
             }
-        }
-        pairs.sort_unstable();
-        pairs.dedup();
-        pairs
-    };
-    // Weighted degrees, computed once and extended per merge:
-    // contraction leaves every survivor's weighted degree intact
-    // (parallel edges into the merged node sum), so only the merged
-    // node itself ever needs a fresh entry. Node ids are dense u32
-    // indices, so a flat vector (dead slots simply unread) beats any
-    // map on this path.
-    let mut wdeg: Vec<u64> = {
-        let cap = g.nodes().map(|n| n.index() + 1).max().unwrap_or(0);
-        let mut w = vec![0u64; cap];
-        for n in g.nodes() {
-            w[n.index()] = g.weighted_degree(n);
-        }
-        w
-    };
-    let scores = {
-        let _s = telemetry::span(rec, "merge.score");
-        score_pairs(
-            &g,
-            &info,
-            &wdeg,
-            params.similarity,
-            &pairs,
-            cfg.resolved_workers(),
-        )
-    };
-    let mut sims: NodeMap<(NodeId, NodeId), f64> =
-        NodeMap::with_capacity_and_hasher(pairs.len(), Default::default());
-    let mut heap_init: Vec<(OrdSim, Reverse<(NodeId, NodeId)>)> = Vec::with_capacity(pairs.len());
-    for (&pair, &s) in pairs.iter().zip(scores.iter()) {
-        sims.insert(pair, s);
-        if s > 0.0 {
-            heap_init.push((OrdSim::new(s), Reverse(pair)));
+        } else {
+            self.below_floor += 1;
+            self.sims.remove(&pair);
         }
     }
-    // Heapify in one pass; pop order is fully determined by the
-    // `(OrdSim, Reverse(pair))` total order, so construction strategy
-    // cannot change the merge sequence.
-    let mut heap: BinaryHeap<(OrdSim, Reverse<(NodeId, NodeId)>)> = BinaryHeap::from(heap_init);
 
-    let mut merges = Vec::new();
-    // Reused per-merge scratch. The `(m, y)` sweep accumulates into a
-    // node-indexed array guarded by a generation stamp (one bump per
-    // merge clears it in O(1)); `touched` remembers which slots to
-    // read back. The neighbor-pair pass accumulates into a dense
-    // `|N(m)|²` matrix keyed by each endpoint's position in the sorted
-    // neighbor list, via (via, position, weight) incidence triples.
-    let mut sweep_acc: Vec<f64> = vec![0.0; wdeg.len()];
-    let mut sweep_stamp: Vec<u32> = vec![0; wdeg.len()];
-    let mut stamp: u32 = 0;
-    let mut touched: Vec<NodeId> = Vec::new();
-    let mut byvia: Vec<(NodeId, u32, u64)> = Vec::new();
-    let mut mat: Vec<f64> = Vec::new();
-    let mut ts: Vec<f64> = Vec::new();
-    let _agglomerate_span = telemetry::span(rec, "merge.agglomerate");
-    // Heap pops — live, stale, and dead alike — are the work measure of
-    // the agglomeration loop: the profile layer divides merge wall time
-    // by this to get a ns/pop unit cost that stays comparable across
-    // window sizes. Tallied locally (one register add, no branch on the
-    // recorder) and folded into the registry once at the end.
-    let mut heap_pops: u64 = 0;
-    // Lazy invalidation piles dead and superseded entries up in the
-    // heap (every rescore pushes, nothing removes). When the heap
-    // outgrows twice its size after the last sweep, compact: one linear
-    // pass keeps exactly the entries a pop would act on — live
-    // endpoints, value still current — and re-heapifies. The survivors
-    // pop in the same total order as before, and the dropped entries
-    // would have been silently discarded at pop time, so compaction is
-    // invisible to both the merge sequence and the provenance stream;
-    // it only converts millions of cache-hostile `O(log n)` discard
-    // pops into an amortized linear scan.
-    let mut compact_at = (2 * heap.len()).max(1 << 20);
-    loop {
-        if heap.len() > compact_at {
-            let mut entries = heap.into_vec();
+    /// Pops until a live, current, eligible pair surfaces and returns
+    /// it, or `None` once no stored pair can merge. Discarding
+    /// ineligible entries is sound: for a surviving pair with an
+    /// unchanged similarity, both eligibility inputs (average member
+    /// connections and the K labels) are immutable — any change
+    /// replaces a node id and thus invalidates by liveness.
+    ///
+    /// Emits one `merge_considered` event per current pair it judges,
+    /// merged or rejected; every such pair is at or above the floor.
+    fn pop_eligible(
+        &mut self,
+        g: &WGraph,
+        info: &NodeMap<NodeId, GroupInfo>,
+        params: &Params,
+        rec: Option<&telemetry::Recorder>,
+    ) -> Option<((NodeId, NodeId), f64)> {
+        // Lazy invalidation piles dead and superseded entries up in the
+        // heap (every rescore that moves a value pushes, nothing
+        // removes). When the heap outgrows twice its size after the last
+        // compaction, keep exactly the entries a pop would act on — live
+        // endpoints, value still current — and re-heapify. The survivors
+        // pop in the same total order as before and the dropped entries
+        // would have been silently discarded at pop time, so compaction
+        // never changes the merge sequence; it only converts
+        // cache-hostile `O(log n)` discard pops into a linear scan.
+        if self.heap.len() > self.compact_at {
+            let mut entries = std::mem::take(&mut self.heap).into_vec();
             entries.retain(|&(osim, Reverse((a, b)))| {
                 g.contains_node(a)
                     && g.contains_node(b)
-                    && sims.get(&(a, b)).map(|&s| OrdSim::new(s)) == Some(osim)
+                    && self.sims.get(&(a, b)).map(|&s| OrdSim::new(s)) == Some(osim)
             });
-            heap = BinaryHeap::from(entries);
-            compact_at = (2 * heap.len()).max(1 << 20);
+            self.heap = BinaryHeap::from(entries);
+            self.compact_at = (2 * self.heap.len()).max(1 << 20);
         }
-        // Pop until a live, current, eligible pair surfaces. Discarding
-        // ineligible entries is sound: for a surviving pair with an
-        // unchanged similarity, both eligibility inputs (average member
-        // connections and the K labels) are immutable — any change
-        // replaces a node id and thus invalidates by liveness.
-        let mut best: Option<((NodeId, NodeId), f64)> = None;
-        while let Some((osim, Reverse((a, b)))) = heap.pop() {
-            heap_pops += 1;
+        while let Some((osim, Reverse((a, b)))) = self.heap.pop() {
+            self.heap_pops += 1;
             if !g.contains_node(a) || !g.contains_node(b) {
                 continue;
             }
-            let Some(&current) = sims.get(&(a, b)) else {
-                continue;
+            let Some(&current) = self.sims.get(&(a, b)) else {
+                continue; // fell below the floor after this entry was pushed
             };
             if OrdSim::new(current) != osim {
                 continue; // stale entry; a fresher one is in the heap
-            }
-            if current <= 0.0 {
-                continue;
             }
             let (ia, ib) = (&info[&a], &info[&b]);
             let conn_ok = meets_connection_req(params.beta, ia.avg_conns(), ib.avg_conns());
@@ -505,17 +503,101 @@ pub(crate) fn merge_groups_with(
                     ],
                 );
             }
-            if !conn_ok {
-                continue;
+            if conn_ok && sim_ok {
+                return Some(((a, b), current));
             }
-            if !sim_ok {
-                continue;
-            }
-            best = Some(((a, b), current));
-            break;
         }
-        let Some(((a, b), sim)) = best else { break };
+        None
+    }
+}
 
+/// [`merge_groups_validated`] with an optional recorder.
+///
+/// Only pairs whose similarity reaches the floor `S^lo` are stored and
+/// queued (see [`Candidates`]); the merge sequence is the one an
+/// ungated heap produces, because nothing below the floor can merge.
+/// The recorder gets one `merge_considered` provenance event per
+/// popped, current pair at or above the floor — accepted *and*
+/// rejected, with the Figure 3 gate that decided it — and the count of
+/// scored pairs below the floor in
+/// `roleclass_engine_merge_below_floor_total`, without a per-pair
+/// event. Pops that die on liveness or staleness (the lazy-heap
+/// bookkeeping, not the algorithm) emit nothing. With `None` the phase
+/// is exactly the uninstrumented one.
+pub(crate) fn merge_groups_with(
+    cs: &ConnectionSets,
+    formation: FormationResult,
+    cfg: &EngineConfig,
+    rec: Option<&telemetry::Recorder>,
+) -> MergeOutcome {
+    let params = &cfg.params;
+    let mut info = group_infos(cs, &formation);
+    let mut g = formation.graph;
+
+    // Candidate similarities are computed once and then maintained
+    // incrementally: a merge only perturbs pairs involving the merged
+    // node or its neighbors. The initial pass — by far the largest
+    // batch — is scored across worker threads over the deduplicated,
+    // sorted list of pairs that share a neighbor; only the pairs that
+    // reach the floor are kept.
+    let pairs: Vec<(NodeId, NodeId)> = {
+        let _s = telemetry::span(rec, "merge.candidates");
+        let mut pairs = Vec::new();
+        for x in g.nodes() {
+            for (via, _) in g.neighbors(x) {
+                for (y, _) in g.neighbors(via) {
+                    if y > x {
+                        pairs.push((x, y));
+                    }
+                }
+            }
+        }
+        pairs.sort_unstable();
+        pairs.dedup();
+        pairs
+    };
+    // Weighted degrees, computed once and extended per merge:
+    // contraction leaves every survivor's weighted degree intact
+    // (parallel edges into the merged node sum), so only the merged
+    // node itself ever needs a fresh entry. Node ids are dense u32
+    // indices, so a flat vector (dead slots simply unread) beats any
+    // map on this path.
+    let mut wdeg: Vec<u64> = {
+        let cap = g.nodes().map(|n| n.index() + 1).max().unwrap_or(0);
+        let mut w = vec![0u64; cap];
+        for n in g.nodes() {
+            w[n.index()] = g.weighted_degree(n);
+        }
+        w
+    };
+    let scored = {
+        let _s = telemetry::span(rec, "merge.score");
+        score_pairs(&g, &info, &wdeg, params, &pairs, cfg.resolved_workers())
+    };
+    let below_floor = (pairs.len() - scored.len()) as u64;
+    drop(pairs);
+    let mut cands = Candidates::new(params.s_lo, scored, below_floor);
+
+    let mut merges = Vec::new();
+    // Reused per-merge scratch. The node-indexed arrays are guarded by
+    // the generation stamps in `seen` (one bump per pass clears them in
+    // O(1)). The `(m, y)` sweep accumulates into `sweep_acc`; `touched`
+    // remembers which slots to read back. The neighbor-pair pass
+    // buckets the `(position, ratio)` incidences of `N(m)` by common
+    // neighbor (`via_count`, `via_fill`, `vias`, `bucket`) and
+    // accumulates into a dense `|N(m)|²` matrix keyed by each
+    // endpoint's position in the sorted neighbor list.
+    let mut sweep_acc: Vec<f64> = vec![0.0; wdeg.len()];
+    let mut seen: Vec<u32> = vec![0; wdeg.len()];
+    let mut via_count: Vec<u32> = vec![0; wdeg.len()];
+    let mut via_fill: Vec<u32> = vec![0; wdeg.len()];
+    let mut stamp: u32 = 0;
+    let mut touched: Vec<NodeId> = Vec::new();
+    let mut vias: Vec<NodeId> = Vec::new();
+    let mut bucket: Vec<(u32, f64)> = Vec::new();
+    let mut mat: Vec<f64> = Vec::new();
+    let _agglomerate_span = telemetry::span(rec, "merge.agglomerate");
+    while let Some(((a, b), sim)) = cands.pop_eligible(&g, &info, params, rec) {
         let ia = info.remove(&a).expect("merge endpoint alive");
         let ib = info.remove(&b).expect("merge endpoint alive");
         merges.push(MergeEvent {
@@ -525,9 +607,12 @@ pub(crate) fn merge_groups_with(
         });
         let (m, _internal) = g.contract(&[a, b]);
         if wdeg.len() <= m.index() {
-            wdeg.resize(m.index() + 1, 0);
-            sweep_acc.resize(m.index() + 1, 0.0);
-            sweep_stamp.resize(m.index() + 1, 0);
+            let len = m.index() + 1;
+            wdeg.resize(len, 0);
+            sweep_acc.resize(len, 0.0);
+            seen.resize(len, 0);
+            via_count.resize(len, 0);
+            via_fill.resize(len, 0);
         }
         wdeg[m.index()] = g.weighted_degree(m);
         let mut members = ia.members;
@@ -546,14 +631,14 @@ pub(crate) fn merge_groups_with(
             },
         );
 
-        // Entries for pairs touching the contracted nodes stay in
-        // `sims` but are unreachable: every heap pop checks liveness
-        // first, and `WGraph::contract` allocates fresh node ids (never
-        // reused), so a dead key can never alias a future pair. Leaving
-        // them avoids a full-map sweep per merge — the sweep made the
-        // loop quadratic in the candidate count and dominated large
-        // windows. Recompute everything that can have changed; heap
-        // entries for changed pairs die lazily on pop.
+        // Stored pairs touching the contracted nodes stay in `sims` but
+        // are unreachable: every heap pop checks liveness first, and
+        // `WGraph::contract` allocates fresh node ids (never reused), so
+        // a dead key can never alias a future pair. Leaving them avoids
+        // a full-map sweep per merge — the sweep made the loop
+        // quadratic in the candidate count. Recompute everything that
+        // can have changed; heap entries for changed pairs die lazily
+        // on pop.
         match params.similarity {
             SimilarityVariant::Normalized => {
                 // Contraction leaves every survivor's weighted degree
@@ -582,8 +667,8 @@ pub(crate) fn merge_groups_with(
                             continue;
                         }
                         let yi = y.index();
-                        if sweep_stamp[yi] != stamp {
-                            sweep_stamp[yi] = stamp;
+                        if seen[yi] != stamp {
+                            seen[yi] = stamp;
                             sweep_acc[yi] = 0.0;
                             touched.push(y);
                         }
@@ -591,14 +676,8 @@ pub(crate) fn merge_groups_with(
                     }
                 }
                 for &y in &touched {
-                    let pair = pair_key(m, y);
                     let s = (100.0 * sweep_acc[y.index()]).clamp(0.0, 100.0);
-                    // `pair` involves the freshly allocated `m`, so it
-                    // cannot already be in `sims`: always push.
-                    sims.insert(pair, s);
-                    if s > 0.0 {
-                        heap.push((OrdSim::new(s), Reverse(pair)));
-                    }
+                    cands.insert_fresh(pair_key(m, y), s);
                 }
                 // Pairs with both endpoints in `N(m)` — every one has
                 // `m` as a common neighbor, so all of them need fresh
@@ -609,53 +688,72 @@ pub(crate) fn merge_groups_with(
                 // of `N(m)` credits all of its pairs in one pass,
                 // accumulating into the `|N(m)|²` matrix (a hot few
                 // kilobytes for typical merges, versus a hash lookup
-                // per term). Triples carry each endpoint's position in
-                // the ascending neighbor list, so sorting by
-                // (via, position) and walking via groups in ascending
-                // id order accumulates each pair's terms in ascending
-                // common-neighbor order — again the exact `similarity`
-                // addition sequence.
+                // per term).
+                //
+                // Two passes bucket the incidences by `via` without a
+                // sort: the first counts members of `N(m)` per `via`
+                // and keeps the vias that two or more share, the second
+                // fills each bucket walking `N(m)` in ascending
+                // position. Walking the buckets in ascending `via`
+                // order therefore accumulates each pair's terms in
+                // ascending common-neighbor order — again the exact
+                // `similarity` addition sequence — and each ratio is
+                // the same single division `similarity` performs, done
+                // once per incidence.
                 let nbrs: Vec<NodeId> = g.neighbors(m).map(|(n, _)| n).collect();
                 let n = nbrs.len();
-                ts.clear();
-                ts.extend(nbrs.iter().map(|&x| wdeg[x.index()] as f64));
-                mat.clear();
-                mat.resize(n * n, 0.0);
-                byvia.clear();
-                for (xi, &x) in nbrs.iter().enumerate() {
-                    for &(via, w) in g.neighbor_slice(x) {
-                        byvia.push((via, xi as u32, w));
+                stamp += 1;
+                vias.clear();
+                for &x in &nbrs {
+                    for &(via, _) in g.neighbor_slice(x) {
+                        let vi = via.index();
+                        if seen[vi] != stamp {
+                            seen[vi] = stamp;
+                            via_count[vi] = 0;
+                            vias.push(via);
+                        }
+                        via_count[vi] += 1;
                     }
                 }
-                byvia.sort_unstable_by_key(|&(v, xi, _)| (v, xi));
-                let mut i = 0;
-                while i < byvia.len() {
-                    let v = byvia[i].0;
-                    let mut j = i;
-                    while j < byvia.len() && byvia[j].0 == v {
-                        j += 1;
-                    }
-                    for p in i..j {
-                        let (_, xi, wx) = byvia[p];
-                        let rx = wx as f64 / ts[xi as usize];
-                        let row = xi as usize * n;
-                        for &(_, yi, wy) in byvia.iter().take(j).skip(p + 1) {
-                            mat[row + yi as usize] += rx.min(wy as f64 / ts[yi as usize]);
+                vias.retain(|v| via_count[v.index()] >= 2);
+                vias.sort_unstable();
+                let mut end = 0u32;
+                for &v in &vias {
+                    via_fill[v.index()] = end;
+                    end += via_count[v.index()];
+                }
+                bucket.clear();
+                bucket.resize(end as usize, (0, 0.0));
+                for (xi, &x) in nbrs.iter().enumerate() {
+                    let tx = wdeg[x.index()] as f64;
+                    for &(via, w) in g.neighbor_slice(x) {
+                        let vi = via.index();
+                        if via_count[vi] >= 2 {
+                            bucket[via_fill[vi] as usize] = (xi as u32, w as f64 / tx);
+                            via_fill[vi] += 1;
                         }
                     }
-                    i = j;
+                }
+                mat.clear();
+                mat.resize(n * n, 0.0);
+                let mut lo = 0;
+                for &v in &vias {
+                    let hi = lo + via_count[v.index()] as usize;
+                    let shared = &bucket[lo..hi];
+                    for (p, &(xi, rx)) in shared.iter().enumerate() {
+                        let row = xi as usize * n;
+                        for &(yi, ry) in &shared[p + 1..] {
+                            mat[row + yi as usize] += rx.min(ry);
+                        }
+                    }
+                    lo = hi;
                 }
                 // Every pair shares at least `m` itself, so the whole
                 // upper triangle holds fresh values.
                 for xi in 0..n {
                     for yi in xi + 1..n {
-                        let pair = (nbrs[xi], nbrs[yi]);
                         let s = (100.0 * mat[xi * n + yi]).clamp(0.0, 100.0);
-                        let changed = sims.get(&pair) != Some(&s);
-                        sims.insert(pair, s);
-                        if s > 0.0 && changed {
-                            heap.push((OrdSim::new(s), Reverse(pair)));
-                        }
+                        cands.rescore((nbrs[xi], nbrs[yi]), s);
                     }
                 }
             }
@@ -680,11 +778,7 @@ pub(crate) fn merge_groups_with(
                 dp.dedup();
                 for pair in dp {
                     let s = similarity(&g, &info, &wdeg, params.similarity, pair.0, pair.1);
-                    let changed = sims.get(&pair) != Some(&s);
-                    sims.insert(pair, s);
-                    if s > 0.0 && changed {
-                        heap.push((OrdSim::new(s), Reverse(pair)));
-                    }
+                    cands.rescore(pair, s);
                 }
             }
         }
@@ -692,9 +786,11 @@ pub(crate) fn merge_groups_with(
 
     drop(_agglomerate_span);
     if let Some(r) = rec {
-        r.registry()
-            .counter("roleclass_engine_merge_heap_pops_total")
-            .add(heap_pops);
+        let reg = r.registry();
+        reg.counter("roleclass_engine_merge_heap_pops_total")
+            .add(cands.heap_pops);
+        reg.counter("roleclass_engine_merge_below_floor_total")
+            .add(cands.below_floor);
     }
 
     // Assemble the final grouping: ids by descending size then members.
@@ -728,7 +824,7 @@ pub(crate) fn merge_groups_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::formation::try_form_groups;
+    use crate::formation::{try_form_groups, ProtoGroup};
 
     fn h(x: u32) -> HostAddr {
         HostAddr::v4(x)
@@ -869,23 +965,7 @@ mod tests {
         let cs = figure1();
         let formation = try_form_groups(&cs, &Params::default()).unwrap();
         let g = &formation.graph;
-        let mut info: NodeMap<NodeId, GroupInfo> = NodeMap::default();
-        for (idx, pg) in formation.groups.iter().enumerate() {
-            let degs: Vec<u32> = pg
-                .members
-                .iter()
-                .map(|h| cs.degree(*h).unwrap_or(0) as u32)
-                .collect();
-            info.insert(
-                formation.node_of_group[idx],
-                GroupInfo {
-                    members: pg.members.clone(),
-                    k: pg.k,
-                    sum_deg: degs.iter().map(|&d| d as u64).sum(),
-                    min_deg: degs.iter().copied().min().unwrap_or(0),
-                },
-            );
-        }
+        let info = group_infos(&cs, &formation);
         let nodes: Vec<NodeId> = g.nodes().collect();
         let mut wdeg = vec![0u64; nodes.iter().map(|n| n.index() + 1).max().unwrap_or(0)];
         for &n in &nodes {
@@ -904,6 +984,47 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn pair_dropped_below_the_floor_after_a_contraction_never_merges() {
+        // Groups x, y, a, b, f (ascending node ids). x and y share only
+        // a and b: similarity 100·(1/10 + 2/10) = 30.000000000000004.
+        // Contracting a with b (similarity 100) leaves them one common
+        // neighbor worth 100·(3/10) = 30.0 — the same mass, one ulp
+        // lower after rounding. With the floor at the first value the
+        // pair starts eligible, then drops below the floor, and its
+        // queued entry must never pop as current. f (K = K^hi) only
+        // adds pairs that fail S^hi.
+        let mut g = WGraph::new();
+        let [x, y, a, b, f] = [(); 5].map(|_| g.add_node());
+        for (u, v, w) in [(x, a, 1), (x, b, 2), (x, f, 7), (y, a, 1), (y, b, 2)] {
+            g.add_edge(u, v, w);
+        }
+        let formation = FormationResult {
+            groups: (0..5)
+                .map(|i| ProtoGroup {
+                    members: vec![h(100 + i)],
+                    k: if i == 4 { 7 } else { 1 },
+                })
+                .collect(),
+            graph: g,
+            node_of_group: vec![x, y, a, b, f],
+            trace: Vec::new(),
+        };
+        let floor = 100.0 * (1.0f64 / 10.0 + 2.0 / 10.0);
+        assert!(100.0 * (3.0f64 / 10.0) < floor);
+        let p = Params::default()
+            .with_s_lo(floor)
+            .with_s_hi(60.0)
+            .with_k_hi(7);
+        // Hosts absent from the connection sets count zero connections,
+        // so the connection requirement always holds.
+        let out = try_merge_groups(&ConnectionSets::new(), formation, &p).unwrap();
+        assert_eq!(out.merges.len(), 1, "{:?}", out.merges);
+        assert_eq!(out.merges[0].left, vec![h(102)]);
+        assert_eq!(out.merges[0].right, vec![h(103)]);
+        assert_ne!(out.grouping.group_of(h(100)), out.grouping.group_of(h(101)));
     }
 
     #[test]

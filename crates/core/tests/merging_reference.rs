@@ -171,4 +171,38 @@ proptest! {
         let slow_set = reference_merge(&cs, &params);
         prop_assert_eq!(fast_set, slow_set);
     }
+
+    #[test]
+    fn floor_gated_merging_matches_naive_across_thresholds(
+        cs in arb_connsets(24, 50),
+        s_lo in 0.0f64..95.0,
+        gap in 0.5f64..40.0,
+        k_hi in 1u32..8,
+        literal in any::<bool>(),
+    ) {
+        // The fast path stores only pairs at or above S^lo; the naive
+        // reference applies the full K^hi-gated test to every pair, so
+        // any floor, gate split, or variant where the two disagree is a
+        // pair the floor wrongly dropped or kept.
+        let params = Params {
+            similarity: if literal {
+                SimilarityVariant::Literal
+            } else {
+                SimilarityVariant::Normalized
+            },
+            ..Params::default()
+                .with_s_lo(s_lo)
+                .with_s_hi((s_lo + gap).min(100.0))
+                .with_k_hi(k_hi)
+        };
+        let fast = try_merge_groups(&cs, try_form_groups(&cs, &params).unwrap(), &params).unwrap();
+        let fast_set: BTreeSet<Vec<HostAddr>> = fast
+            .grouping
+            .groups()
+            .iter()
+            .map(|g| g.members.clone())
+            .collect();
+        let slow_set = reference_merge(&cs, &params);
+        prop_assert_eq!(fast_set, slow_set);
+    }
 }

@@ -10,7 +10,10 @@
 //! * **merging** — every merge the host's group was *considered* for,
 //!   accepted and rejected alike, with the similarity score, which
 //!   threshold gated it (`S^hi` when either side has `K ≥ K^hi`, else
-//!   `S^lo`), and the connection-requirement verdict;
+//!   `S^lo`), and the connection-requirement verdict. Only pairs at or
+//!   above the floor `S^lo` are considered; when none involved the
+//!   host's group, one line names `S^lo` and how many scored pairs in
+//!   the window fell below it;
 //! * **correlation** — where the window's published group id came from:
 //!   carried from the previous window (with the matching rule and
 //!   score), or minted fresh.
@@ -159,8 +162,16 @@ pub fn explain_host_labeled(
 
     let mut out = String::new();
     let _ = writeln!(out, "decision chain for host {host}:");
+    let below_floor_total = || {
+        recorder
+            .registry()
+            .counter("roleclass_engine_merge_below_floor_total")
+            .get()
+    };
     for (label, cs) in windows.iter() {
+        let below_floor_before = below_floor_total();
         let outcome = engine.run_window(cs);
+        let below_floor = below_floor_total() - below_floor_before;
         let events = recorder.events().take();
         let _ = writeln!(out, "\n{label}:");
         let raw = outcome.classification.grouping.group_of(host);
@@ -194,7 +205,12 @@ pub fn explain_host_labeled(
         // Merging: every pair decision the host's group took part in.
         let chain = merge_chain(host, &outcome.classification.formation_trace, &events);
         if chain.is_empty() {
-            let _ = writeln!(out, "  merging: no merges considered for this host's group");
+            let _ = writeln!(
+                out,
+                "  merging: no pair with this host's group reached the floor S^lo={:.2} \
+                 ({below_floor} scored pair(s) in this window fell below it)",
+                params.s_lo
+            );
         }
         for m in &chain {
             let gate = if m.gate == "s_hi" { "S^hi" } else { "S^lo" };
@@ -272,8 +288,14 @@ mod tests {
         cs
     }
 
+    /// Thresholds under which sales vs engineering (similarity 66.67)
+    /// reaches the floor but fails `S^hi` (every group has `K >= 1`), so
+    /// the chain carries a journaled rejection.
     fn params() -> Params {
-        Params::default().with_s_lo(90.0).with_s_hi(95.0)
+        Params::default()
+            .with_s_lo(60.0)
+            .with_s_hi(70.0)
+            .with_k_hi(1)
     }
 
     #[test]
@@ -299,18 +321,32 @@ mod tests {
 
     #[test]
     fn merge_chain_includes_rejections() {
-        // Default thresholds: the two pods' client groups are similar
-        // enough to be considered but the figure-1 defaults merge them;
-        // raising S^lo/S^hi forces a rejected_similarity verdict.
+        // The two pods' client groups clear S^lo but not S^hi, and the
+        // K^hi gate applies S^hi: a rejected_similarity verdict.
         let windows = vec![figure1()];
-        let out = explain_host(
-            &windows,
-            h(11),
-            Params::default().with_s_lo(99.0).with_s_hi(99.5),
-        )
-        .unwrap();
-        // Either the host's group had merges rejected, or no merge was
-        // considered at all — both must render without panicking.
+        let out = explain_host(&windows, h(11), params()).unwrap();
         assert!(out.contains("window 0:"));
+        assert!(out.contains("similarity 66.67 < S^hi=70.00 -> kept separate"));
+    }
+
+    #[test]
+    fn group_with_no_pair_at_the_floor_names_s_lo_and_the_below_floor_count() {
+        // At S^lo = 90 no figure-1 pair reaches the floor: nothing is
+        // journaled, and the chain says why.
+        let windows = vec![figure1()];
+        let params = Params::default().with_s_lo(90.0).with_s_hi(95.0);
+        let out = explain_host(&windows, h(11), params).unwrap();
+        assert!(!out.contains("merge vs group of"));
+        let line = out
+            .lines()
+            .find(|l| l.contains("reached the floor S^lo=90.00"))
+            .expect("floor line");
+        let count: u64 = line
+            .split('(')
+            .nth(1)
+            .and_then(|rest| rest.split(' ').next())
+            .and_then(|n| n.parse().ok())
+            .expect("below-floor count");
+        assert!(count > 0, "{line}");
     }
 }

@@ -51,6 +51,16 @@ fn window_trace(window: u64) -> Vec<FlowRecord> {
     out
 }
 
+/// Thresholds under which the sales and engineering client groups
+/// (similarity 66.67) reach the floor `S^lo` but fail `S^hi` — every
+/// group has `K >= K^hi = 1` — so merging journals a considered pair.
+fn params() -> Params {
+    Params::default()
+        .with_s_lo(60.0)
+        .with_s_hi(70.0)
+        .with_k_hi(1)
+}
+
 /// A probe that dies fatally on its first poll: the first window fails,
 /// every later window skips it (quarantined) — both probe event types.
 struct FatalProbe;
@@ -85,7 +95,7 @@ fn degraded_pipeline_produces_every_declared_event_type() {
     let mut agg = Aggregator::try_new(AggregatorConfig {
         window_ms: 1000,
         origin_ms: 0,
-        engine: EngineConfig::new(Params::default().with_s_lo(90.0).with_s_hi(95.0)),
+        engine: EngineConfig::new(params()),
         min_flows: 1,
         supervisor: SupervisorConfig::immediate(),
         ..AggregatorConfig::default()
@@ -122,7 +132,7 @@ fn degraded_pipeline_produces_every_declared_event_type() {
     let mut fresh = Aggregator::try_new(AggregatorConfig {
         window_ms: 1000,
         origin_ms: 0,
-        engine: EngineConfig::new(Params::default().with_s_lo(90.0).with_s_hi(95.0)),
+        engine: EngineConfig::new(params()),
         min_flows: 1,
         supervisor: SupervisorConfig::immediate(),
         ..AggregatorConfig::default()

@@ -9,7 +9,7 @@ use role_classification::roleclass::{
     Engine, EngineConfig, Params, ENGINE_EVENT_NAMES, STABILITY_METRIC_NAMES,
 };
 use role_classification::synthnet::{scenarios, trace};
-use role_classification::telemetry::Recorder;
+use role_classification::telemetry::{FieldValue, Recorder};
 use std::sync::Arc;
 
 #[test]
@@ -72,6 +72,53 @@ fn run_window_is_bit_identical_with_and_without_recorder() {
     assert!(events
         .iter()
         .any(|e| e.name == "roleclass_engine_id_carried"));
+}
+
+/// Merge provenance covers exactly the pairs that can still merge:
+/// every journaled `merge_considered` pair is at or above the floor
+/// `S^lo`, and the pairs scored below it are only counted — while the
+/// outcomes stay bit-identical to a detached engine.
+#[test]
+fn merge_considered_pairs_are_at_or_above_the_floor() {
+    let params = Params::default();
+    let mut plain = Engine::new(params).unwrap();
+    let rec = Arc::new(Recorder::new());
+    let mut traced = Engine::new(params).unwrap().with_recorder(Arc::clone(&rec));
+    let net = scenarios::figure1(4, 5);
+    for seed in [3u64, 4] {
+        let records = trace::expand(&net.connsets, trace::TraceOptions::default(), seed);
+        let mut builder = role_classification::flow::ConnsetBuilder::new();
+        builder.add_records(records.iter());
+        let cs = builder.build();
+        assert_eq!(
+            plain.run_window(&cs).grouping,
+            traced.run_window(&cs).grouping
+        );
+    }
+
+    let considered: Vec<f64> = rec
+        .events()
+        .snapshot()
+        .iter()
+        .filter(|e| e.name == "roleclass_engine_merge_considered")
+        .map(
+            |e| match e.fields.iter().find(|(k, _)| *k == "similarity") {
+                Some((_, FieldValue::F64(s))) => *s,
+                other => panic!("similarity field missing or mistyped: {other:?}"),
+            },
+        )
+        .collect();
+    assert!(!considered.is_empty(), "some pair reached the floor");
+    for s in &considered {
+        assert!(*s >= params.s_lo, "journaled pair below S^lo: {s}");
+    }
+    assert!(
+        rec.registry()
+            .counter("roleclass_engine_merge_below_floor_total")
+            .get()
+            > 0,
+        "pairs below the floor are counted"
+    );
 }
 
 /// Profiler-attached vs detached classification outcomes, pinned
